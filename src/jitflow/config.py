@@ -74,6 +74,23 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _as(kind, value, key: str):
+    """kind(value), or a ConfigError naming the key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(
+            f"config key {key} must be {'an integer' if kind is int else 'a number'}, "
+            f"got {value!r}"
+        ) from None
+
+
+def _object(value, key: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a JSON object")
+    return value
+
+
 def config_from_dict(doc: dict) -> tuple[RunConfig, list[str]]:
     """Parse a config document; returns (config, unknown-key warnings)."""
     if not isinstance(doc, dict):
@@ -85,11 +102,11 @@ def config_from_dict(doc: dict) -> tuple[RunConfig, list[str]]:
     }
     warnings += [f"unknown config key: {k}" for k in sorted(set(doc) - known)]
 
-    seed = int(_require(doc, "seed"))
+    seed = _as(int, _require(doc, "seed"), "seed")
     shape = _require(doc, "shape")
     if not (isinstance(shape, (list, tuple)) and len(shape) == 3):
         raise ConfigError("shape must be [h_tok, w_tok, d]")
-    shape = tuple(int(v) for v in shape)
+    shape = tuple(_as(int, v, "shape") for v in shape)
 
     fdoc = _require(doc, "field")
     if not isinstance(fdoc, dict) or "kind" not in fdoc:
@@ -103,6 +120,8 @@ def config_from_dict(doc: dict) -> tuple[RunConfig, list[str]]:
     sdoc = doc.get("schedule")
     if (preset is None) == (sdoc is None):
         raise ConfigError("config needs exactly one of 'preset' or 'schedule'")
+    if preset is not None and not isinstance(preset, str):
+        raise ConfigError("preset must be a preset name")
     stages = alpha = beta = None
     if sdoc is not None:
         if not isinstance(sdoc, dict) or "stages" not in sdoc:
@@ -111,13 +130,18 @@ def config_from_dict(doc: dict) -> tuple[RunConfig, list[str]]:
             f"unknown schedule key: {k}"
             for k in sorted(set(sdoc) - {"stages", "alpha", "beta"})
         ]
-        stages = tuple((int(s), float(sp)) for s, sp in sdoc["stages"])
-        alpha = float(sdoc.get("alpha", 1.0))
-        beta = float(sdoc.get("beta", 1.0))
+        raw = sdoc["stages"]
+        if not (isinstance(raw, (list, tuple))
+                and all(isinstance(p, (list, tuple)) and len(p) == 2 for p in raw)):
+            raise ConfigError("schedule.stages must be a list of [steps, sparsity] pairs")
+        stages = tuple(
+            (_as(int, s, "schedule.stages"), _as(float, sp, "schedule.stages"))
+            for s, sp in raw
+        )
+        alpha = _as(float, sdoc.get("alpha", 1.0), "schedule.alpha")
+        beta = _as(float, sdoc.get("beta", 1.0), "schedule.beta")
 
-    odoc = doc.get("options", {})
-    if not isinstance(odoc, dict):
-        raise ConfigError("options must be a JSON object")
+    odoc = _object(doc.get("options", {}), "options")
     warnings += [
         f"unknown options key: {k}"
         for k in sorted(set(odoc) - {"invert_time", "shared_noise", "snapshot_stride"})
@@ -125,25 +149,26 @@ def config_from_dict(doc: dict) -> tuple[RunConfig, list[str]]:
 
     cdoc = doc.get("cost")
     if cdoc is not None:
+        cdoc = _object(cdoc, "cost")
         unknown = set(cdoc) - {"c_attn", "c_lin", "c_fix", "n_ctx"}
         warnings += [f"unknown cost key: {k}" for k in sorted(unknown)]
-        cdoc = {k: float(v) for k, v in cdoc.items() if k not in unknown}
+        cdoc = {k: _as(float, v, f"cost.{k}") for k, v in cdoc.items() if k not in unknown}
 
     cfg = RunConfig(
         seed=seed,
         shape=shape,
         field_kind=str(fdoc["kind"]),
-        field_params=dict(fdoc.get("params", {})),
-        sigma1=fdoc.get("sigma1", 0.0),
+        field_params=dict(_object(fdoc.get("params", {}), "field.params")),
+        sigma1=_as(float, fdoc.get("sigma1", 0.0), "field.sigma1"),
         preset=preset,
         stages=stages,
         alpha=alpha if alpha is not None else 1.0,
         beta=beta if beta is not None else 1.0,
         invert_time=bool(odoc.get("invert_time", False)),
         shared_noise=bool(odoc.get("shared_noise", False)),
-        snapshot_stride=int(odoc.get("snapshot_stride", 0)),
+        snapshot_stride=_as(int, odoc.get("snapshot_stride", 0), "options.snapshot_stride"),
         cost=cdoc,
-        baseline_steps=int(doc.get("baseline_steps", 50)),
+        baseline_steps=_as(int, doc.get("baseline_steps", 50), "baseline_steps"),
     )
     return cfg, warnings
 

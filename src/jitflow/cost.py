@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from scipy.optimize import minimize_scalar
-
 from .errors import ParameterError
 from .schedule import StageSchedule
 
@@ -112,6 +110,8 @@ def calibrate_attention_share(
 
     Least squares on relative speedup error over alpha in [0, 1].
     """
+    from scipy.optimize import minimize_scalar  # slow to import, needed only here
+
     if not targets:
         raise ParameterError("calibration needs at least one (schedule, speedup) target")
     for _, s in targets:

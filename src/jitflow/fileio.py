@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -29,11 +30,32 @@ _MAGIC = b"JITG"
 _HEADER = struct.Struct("<4sIIII")
 
 
+def _process_umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+# mkstemp creates files 0600; give outputs the mode a plain open() would
+_FILE_MODE = 0o666 & ~_process_umask()
+
+
 def _atomic_write(path, payload: bytes) -> None:
+    """Write through a temp file unique to this call, then rename over path.
+
+    Concurrent writers to one path each rename a complete file, so the
+    last rename wins and no reader sees a mix of two payloads.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload)
+        os.chmod(tmp, _FILE_MODE)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def write_grid(path, grid: TokenGrid) -> None:
@@ -186,10 +208,35 @@ def load_replay(dirpath, strict: bool = True) -> ReplayField:
         doc = json.loads((dirpath / "manifest.json").read_text("utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"replay manifest is not valid JSON: {exc}") from exc
+    entries = doc.get("entries") if isinstance(doc, dict) else None
+    if not isinstance(entries, list):
+        raise FormatError("replay manifest needs an 'entries' list")
     field = ReplayField(strict=strict)
-    for entry in doc["entries"]:
-        block = read_grid(dirpath / entry["file"])
-        indices = np.asarray(entry["indices"], dtype=np.int64)
-        key = (indices.tobytes(), float(entry["t"]))
-        field.tape[key] = (indices, block.data.reshape(len(indices), block.d))
+    for pos, entry in enumerate(entries):
+        indices, t, name = _manifest_entry(entry, pos)
+        block = read_grid(dirpath / name)
+        if block.n_tokens != len(indices):
+            raise FormatError(
+                f"replay entry {pos}: {name} holds {block.n_tokens} tokens, "
+                f"manifest lists {len(indices)}"
+            )
+        field.tape[(indices.tobytes(), t)] = (indices, block.data)
     return field
+
+
+def _manifest_entry(entry, pos: int) -> tuple[np.ndarray, float, str]:
+    """(indices, t, file name) of one manifest entry, or a FormatError."""
+    if not isinstance(entry, dict):
+        raise FormatError(f"replay entry {pos} is not a JSON object")
+    missing = [k for k in ("file", "indices", "t") if k not in entry]
+    if missing:
+        raise FormatError(f"replay entry {pos} lacks {', '.join(missing)}")
+    name, raw_indices, t = entry["file"], entry["indices"], entry["t"]
+    if not isinstance(name, str) or Path(name).name != name:
+        raise FormatError(f"replay entry {pos}: file must be a bare file name")
+    if not (isinstance(raw_indices, list)
+            and all(type(i) is int and 0 <= i < 2**63 for i in raw_indices)):
+        raise FormatError(f"replay entry {pos}: indices must be a list of token indices")
+    if isinstance(t, bool) or not isinstance(t, (int, float)):
+        raise FormatError(f"replay entry {pos}: t must be a number")
+    return np.asarray(raw_indices, dtype=np.int64), float(t), name

@@ -8,6 +8,19 @@ activated tokens at a stage transition.  The pipeline is
     2. a density-matched separable Gaussian blur,
     3. masked composition that restores anchor values bitwise.
 
+The nearest-neighbor fill reads an owner map: for every token, the index of
+its nearest anchor by Euclidean distance between (row, col) grid positions,
+ties going to the lowest anchor index.  The map is exact.  A k-d tree over
+the anchors gives each token's k nearest candidates; squared distances are
+integers, recomputed exactly from the candidates, and the lowest index among
+those at the minimum wins.  A token whose k-th candidate still ties the
+first may have more tied anchors than k, so it is resolved by a ball query
+at a radius between the minimum and the next integer distance.  The map
+depends only on the grid size and the active set, so it is memoized per
+(h, w, indices) in a small LRU cache: a staged run builds one map per
+distinct active set, and the lift at a stage boundary reuses the map of
+the stage it closes.  Memory is O(N * k), not O(N * m).
+
 The blur scale tracks anchor density: with ratio rho = m / N the mean
 anchor spacing is L = rho^(-1/2) tokens, sigma = 0.4 L, and the kernel
 length is max(3, 2*floor(1.5*sigma) + 1) so it stays odd and roughly spans
@@ -16,6 +29,7 @@ length is max(3, 2*floor(1.5*sigma) + 1) so it stays odd and roughly spans
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -71,25 +85,59 @@ def _convolve_axis(arr: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray
     return out
 
 
-def nearest_fill(block: ActiveBlock, active: IndexSet, shape: tuple[int, int, int]) -> TokenGrid:
-    """Assign every token the value of its nearest anchor.
+_OWNER_CANDIDATES = 8  # k of the k-d tree query; ties beyond it fall back to a ball query
+
+
+def owner_map(active: IndexSet, h: int, w: int) -> np.ndarray:
+    """Index into active.indices of each token's nearest anchor.
 
     Distance is Euclidean between (row, col) grid coordinates; ties go to
-    the anchor with the lower row-major index.  Squared distances are
-    integers, so the tie-break is exact.
+    the anchor with the lower row-major index.  Returns a read-only int64
+    array of length h * w, shared between calls with the same set.
     """
-    h, w, d = shape
     if len(active) < 1:
         raise ParameterError("empty anchor set")
-    if active.n_total != h * w or block.m != len(active) or block.d != d:
+    if active.n_total != h * w:
+        raise DimensionError(f"set over {active.n_total} tokens, grid has {h}x{w}")
+    return _cached_owner_map(h, w, active.indices.tobytes())
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_owner_map(h: int, w: int, key: bytes) -> np.ndarray:
+    from scipy.spatial import cKDTree
+
+    anchors = np.frombuffer(key, dtype=np.int64)
+    a_pos = np.stack([anchors // w, anchors % w], axis=1)
+    tokens = np.arange(h * w, dtype=np.int64)
+    pos = np.stack([tokens // w, tokens % w], axis=1)
+    tree = cKDTree(a_pos)
+    k = min(_OWNER_CANDIDATES, len(anchors))
+    _, cand = tree.query(pos, k=k)
+    cand = cand.reshape(len(tokens), k)
+    # exact integer squared distances to the candidates
+    dist2 = ((pos[:, None, :] - a_pos[cand]) ** 2).sum(axis=2)
+    best = dist2.min(axis=1)
+    # lowest candidate index at the minimum distance; len(anchors) is a sentinel
+    owner = np.where(dist2 == best[:, None], cand, len(anchors)).min(axis=1)
+    if k < len(anchors):
+        # the k-th candidate ties the first: there may be tied anchors past k
+        unsure = np.flatnonzero(dist2[:, -1] == best)
+        if unsure.size:
+            radii = np.sqrt(best[unsure] + 0.5)  # strictly below the next integer
+            for tok, hits in zip(unsure, tree.query_ball_point(pos[unsure], radii)):
+                hits = np.asarray(hits, dtype=np.int64)
+                d2 = ((a_pos[hits] - pos[tok]) ** 2).sum(axis=1)
+                owner[tok] = hits[d2 == best[tok]].min()
+    owner.setflags(write=False)
+    return owner
+
+
+def nearest_fill(block: ActiveBlock, active: IndexSet, shape: tuple[int, int, int]) -> TokenGrid:
+    """Assign every token the value of its nearest anchor (see owner_map)."""
+    h, w, d = shape
+    if block.m != len(active) or block.d != d:
         raise DimensionError("block / set / shape mismatch in nearest_fill")
-    rows = np.arange(h * w, dtype=np.int64) // w
-    cols = np.arange(h * w, dtype=np.int64) % w
-    a_rows = active.indices // w
-    a_cols = active.indices % w
-    dist2 = (rows[:, None] - a_rows[None, :]) ** 2 + (cols[:, None] - a_cols[None, :]) ** 2
-    owner = np.argmin(dist2, axis=1)  # first minimum = lowest anchor index
-    return TokenGrid(h, w, d, block.values[owner])
+    return TokenGrid(h, w, d, block.values[owner_map(active, h, w)])
 
 
 def gaussian_blur(grid: TokenGrid, spec: BlurSpec) -> TokenGrid:

@@ -1,7 +1,8 @@
 """Independent brute-force oracles the implementation is checked against.
 
-Everything here deliberately avoids the library's own code paths: direct
-2-D convolution with explicit index clamping, per-window enumeration for
+Everything here deliberately avoids the library's own code paths: a full
+token-by-anchor distance matrix for nearest-anchor owners, direct 2-D
+convolution with explicit index clamping, per-window enumeration for
 variances, adaptive quadrature + root finding for the Beta CDF inverse, and
 Monte Carlo regression for the analytic velocity field.
 """
@@ -13,6 +14,21 @@ import math
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
+
+
+def brute_owner_map(indices: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Nearest anchor of every token by exhaustive search.
+
+    Builds the full (h*w) x m matrix of integer squared distances between
+    (row, col) positions; argmin returns the first minimum, so ties go to
+    the lowest anchor index.  Memory is O(N * m), fine for test grids only.
+    """
+    tokens = np.arange(h * w, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
+    dist2 = (tokens[:, None] // w - indices[None, :] // w) ** 2 + (
+        tokens[:, None] % w - indices[None, :] % w
+    ) ** 2
+    return np.argmin(dist2, axis=1)
 
 
 def dense_conv2d_replicate(arr: np.ndarray, kernel1d: np.ndarray) -> np.ndarray:

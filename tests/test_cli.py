@@ -136,6 +136,19 @@ def test_error_paths_exit_nonzero(tmp_path, capsys):
     assert "ScheduleError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "bad", [{"seed": "abc"}, {"cost": [1]}, {"schedule": {"stages": [[7]]}, "preset": None}]
+)
+def test_bad_config_values_exit_with_one_error_line(tmp_path, capsys, bad):
+    doc = {k: v for k, v in {**SMALL, **bad}.items() if v is not None}
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["sample", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ConfigError: ")
+
+
 def test_unknown_config_keys_warn_on_stderr(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {**SMALL, "frobnicate": 1})
     assert main(["schedule", "--config", cfg]) == 0

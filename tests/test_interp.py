@@ -7,12 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jitflow.errors import ParameterError
+from jitflow.errors import DimensionError, ParameterError
 from jitflow.grid import ActiveBlock, IndexSet, TokenGrid, full_set, gather, index_set
-from jitflow.interp import BlurSpec, _gaussian_kernel, blur_params, gaussian_blur, lift, nearest_fill
+from jitflow.interp import (
+    BlurSpec,
+    _gaussian_kernel,
+    blur_params,
+    gaussian_blur,
+    lift,
+    nearest_fill,
+    owner_map,
+)
 from jitflow.rng import UniformStream
+from jitflow.schedule import base_selector_indices, initial_selector
 
-from oracles import dense_conv2d_replicate
+from oracles import brute_owner_map, dense_conv2d_replicate
 
 
 def test_blur_params_examples():
@@ -72,11 +81,88 @@ def test_nearest_fill_matches_brute_force():
         idx = stream.choose(np.arange(n, dtype=np.int64), m)
         block = ActiveBlock(m, d, stream.normal(m * d).astype(np.float32))
         out = nearest_fill(block, index_set(n, idx), (h, w, d))
-        for tok in range(n):
-            r, c = divmod(tok, w)
-            d2 = [(ar - r) ** 2 + (ac - c) ** 2 for ar, ac in (divmod(int(i), w) for i in idx)]
-            owner = int(np.argmin(d2))  # first minimum = lowest index
-            assert np.array_equal(out.data[tok], block.values[owner])
+        owner = brute_owner_map(np.sort(idx), h, w)
+        assert np.array_equal(out.data, block.values[owner])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_owner_map_equals_brute_force(data):
+    h = data.draw(st.integers(1, 24), label="h")
+    w = data.draw(st.integers(1, 24), label="w")
+    n = h * w
+    kind = data.draw(st.sampled_from(["random", "base", "selector", "one", "all-but-one"]))
+    if kind == "random":
+        idx = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
+    elif kind == "base":  # stride-2 lattice plus boundary: many equidistant anchors
+        idx = base_selector_indices(h, w)
+    elif kind == "selector":
+        budget = data.draw(st.integers(1, n))
+        idx = initial_selector(h, w, budget, data.draw(st.integers(0, 1000))).indices
+    elif kind == "one":
+        idx = [data.draw(st.integers(0, n - 1))]
+    else:
+        if n < 2:
+            return
+        gap = data.draw(st.integers(0, n - 1))
+        idx = [i for i in range(n) if i != gap]
+    active = index_set(n, sorted(idx))
+    got = owner_map(active, h, w)
+    assert got.dtype == np.int64 and got.shape == (n,)
+    assert np.array_equal(got, brute_owner_map(active.indices, h, w))
+
+
+def test_owner_map_lattices_at_sampler_sizes():
+    # initial_selector lattices of the presets' first stages, as runs see them
+    for h, w in ((64, 64), (48, 48), (40, 24)):
+        for budget in (int(0.35 * h * w), int(0.62 * h * w)):
+            active = initial_selector(h, w, budget, seed=5)
+            assert np.array_equal(
+                owner_map(active, h, w), brute_owner_map(active.indices, h, w)
+            )
+
+
+def test_owner_map_more_ties_than_tree_candidates():
+    # twelve anchors on the radius-5 circle around token (5, 40) tie at its
+    # center, more than the k-d tree returns; the bottom-row anchors spread
+    # the tree over leaves, so its candidates miss the lowest tied index
+    h, w = 12, 48
+    circle = [(-5, 0), (5, 0), (0, -5), (0, 5)] + [
+        (sr * a, sc * b) for a, b in ((3, 4), (4, 3)) for sr in (-1, 1) for sc in (-1, 1)
+    ]
+    idx = [(5 + dr) * w + (40 + dc) for dr, dc in circle]
+    idx += [(h - 1) * w + c for c in range(0, w, 4)]
+    active = index_set(h * w, sorted(idx))
+    got = owner_map(active, h, w)
+    assert np.array_equal(got, brute_owner_map(active.indices, h, w))
+    assert got[5 * w + 40] == 0  # token (0, 40), the lowest row-major anchor
+
+
+def test_owner_map_cache_key_includes_grid_shape():
+    # the same index bytes on a 3x5 and on a 5x3 grid are different anchor sets
+    idx = [1, 7, 13]
+    wide = owner_map(index_set(15, idx), 3, 5)
+    tall = owner_map(index_set(15, idx), 5, 3)
+    assert np.array_equal(wide, brute_owner_map(np.array(idx), 3, 5))
+    assert np.array_equal(tall, brute_owner_map(np.array(idx), 5, 3))
+    assert not np.array_equal(wide, tall)
+
+
+def test_owner_map_is_cached_and_read_only():
+    active = index_set(48, [3, 17, 30, 44])
+    first = owner_map(active, 6, 8)
+    again = owner_map(index_set(48, [3, 17, 30, 44]), 6, 8)
+    assert again is first  # one map per distinct active set
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 1
+
+
+def test_owner_map_validation():
+    with pytest.raises(ParameterError, match="empty anchor"):
+        owner_map(IndexSet(6, np.empty(0, dtype=np.int64)), 2, 3)
+    with pytest.raises(DimensionError):
+        owner_map(index_set(6, [0, 4]), 3, 3)
 
 
 def test_gaussian_blur_constant_invariance():

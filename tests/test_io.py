@@ -1,14 +1,19 @@
 """File formats: JITG bytes, PGM conventions, config documents, replay tapes."""
 
 import json
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jitflow.config import RunConfig, config_from_dict, config_to_dict
 from jitflow.errors import ConfigError, FormatError
 from jitflow.fields import GaussianFlowField, ReplayField, initial_noise, make_target_image
+from jitflow import fileio
 from jitflow.fileio import (
     canonical_json,
     load_replay,
@@ -213,6 +218,73 @@ def test_config_rejects_malformed_json(tmp_path):
         config_from_dict(["nope"])
 
 
+@pytest.mark.parametrize(
+    "key, value, named",
+    [
+        ("seed", "abc", "seed"),
+        ("seed", None, "seed"),
+        ("shape", ["a", 4, 4], "shape"),
+        ("field", {"kind": "gaussian-bump", "sigma1": "x"}, "field.sigma1"),
+        ("field", {"kind": "gaussian-bump", "params": [1]}, "field.params"),
+        ("cost", [1], "cost"),
+        ("cost", {"c_lin": "fast"}, "cost.c_lin"),
+        ("options", [], "options"),
+        ("options", {"snapshot_stride": 1.5e400}, "options.snapshot_stride"),
+        ("baseline_steps", "many", "baseline_steps"),
+        ("preset", ["jit4x"], "preset"),
+    ],
+)
+def test_config_type_errors_are_config_errors(key, value, named):
+    with pytest.raises(ConfigError, match=named):
+        config_from_dict({**MINIMAL, key: value})
+
+
+@pytest.mark.parametrize(
+    "stages", [[[7]], [7, 0.35], "7,0.35", [[7, "x"]], [["x", 0.35]], {"7": 0.35}]
+)
+def test_config_bad_stages_are_config_errors(stages):
+    doc = {k: v for k, v in MINIMAL.items() if k != "preset"}
+    doc["schedule"] = {"stages": stages}
+    with pytest.raises(ConfigError, match="schedule.stages"):
+        config_from_dict(doc)
+    doc["schedule"] = {"stages": [[18, 1.0]], "alpha": "x"}
+    with pytest.raises(ConfigError, match="schedule.alpha"):
+        config_from_dict(doc)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+CONFIG_PATHS = [
+    ("seed",), ("shape",), ("field",), ("field", "kind"), ("field", "params"),
+    ("field", "sigma1"), ("preset",), ("schedule",), ("schedule", "stages"),
+    ("schedule", "alpha"), ("schedule", "beta"), ("options",),
+    ("options", "snapshot_stride"), ("options", "shared_noise"), ("cost",),
+    ("cost", "c_attn"), ("baseline_steps",),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(CONFIG_PATHS), JSON_VALUES, st.booleans())
+def test_config_fuzz_only_config_errors_escape(path, value, inline_schedule):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["options"], doc["cost"] = {}, {"c_lin": 1.0}
+    if inline_schedule:
+        del doc["preset"]
+        doc["schedule"] = {"stages": [[18, 1.0]]}
+    if len(path) == 2:
+        doc.setdefault(path[0], {})[path[1]] = value
+    else:
+        doc[path[0]] = value
+    try:
+        config_from_dict(doc)
+    except ConfigError:
+        pass
+
+
 # ---------------------------------------------------------------------------
 # reports, metrics, replay tapes
 
@@ -272,3 +344,90 @@ def test_replay_tape_roundtrip(tmp_path):
     with pytest.raises(FormatError):
         (tmp_path / "tape" / "manifest.json").write_text("{oops", "utf-8")
         load_replay(tmp_path / "tape")
+
+
+def replay_tape(tmp_path):
+    shape = (4, 4, 2)
+    rec = ReplayField(GaussianFlowField(make_target_image("checkerboard", shape), 0.5))
+    active = index_set(16, [1, 5, 9])
+    rec.evaluate(gather(initial_noise(shape, seed=2), active), active, 0.5)
+    save_replay(rec, tmp_path)
+    return tmp_path / "manifest.json"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda e: e.pop("file"), "lacks file"),
+        (lambda e: e.pop("indices"), "lacks indices"),
+        (lambda e: e.pop("t"), "lacks t"),
+        (lambda e: e.update(t="late"), "t must be a number"),
+        (lambda e: e.update(indices=[1, "x", 9]), "indices"),
+        (lambda e: e.update(indices=[1, 5]), "holds 3 tokens"),
+        (lambda e: e.update(file=["block_0000.jitg"]), "file"),
+        (lambda e: e.update(file="../block_0000.jitg"), "file"),
+    ],
+)
+def test_replay_manifest_entry_errors(tmp_path, edit, message):
+    manifest = replay_tape(tmp_path)
+    doc = json.loads(manifest.read_text("utf-8"))
+    edit(doc["entries"][0])
+    manifest.write_text(json.dumps(doc), "utf-8")
+    with pytest.raises(FormatError, match=message):
+        load_replay(tmp_path)
+
+
+@pytest.mark.parametrize("doc", [[], {}, {"entries": {}}, {"entries": [7]}])
+def test_replay_manifest_shape_errors(tmp_path, doc):
+    manifest = replay_tape(tmp_path)
+    manifest.write_text(json.dumps(doc), "utf-8")
+    with pytest.raises(FormatError):
+        load_replay(tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# atomic writes
+
+
+def test_concurrent_writers_to_one_path(tmp_path):
+    # with one shared temp name, a writer could rename another's half-written
+    # file into place, or find its own temp file already renamed away
+    target = tmp_path / "out.bin"
+    payloads = [bytes([tag]) * (1 << 20) for tag in (1, 2, 3, 4)]
+    start = threading.Barrier(len(payloads))
+    errors = []
+
+    def writer(payload):
+        start.wait(timeout=30)
+        try:
+            for _ in range(30):
+                fileio._atomic_write(target, payload)
+        except Exception as exc:  # a thread's exception is lost unless kept
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer, args=(p,)) for p in payloads]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert target.read_bytes() in payloads  # one whole payload, never a mix
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]  # no temp files left
+
+
+def test_atomic_write_mode_and_cleanup_on_failure(tmp_path, monkeypatch):
+    target = tmp_path / "out.bin"
+    fileio._atomic_write(target, b"abc")
+    mask = os.umask(0)
+    os.umask(mask)
+    assert target.stat().st_mode & 0o777 == 0o666 & ~mask
+
+    def broken_replace(src, dst):
+        raise OSError("disk went away")
+
+    monkeypatch.setattr(fileio.os, "replace", broken_replace)
+    with pytest.raises(OSError, match="disk went away"):
+        fileio._atomic_write(target, b"xyz")
+    assert target.read_bytes() == b"abc"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
