@@ -12,8 +12,6 @@ Usage:
 
 import argparse
 
-import numpy as np
-
 from jitflow import (
     GaussianFlowField,
     StageSpec,
@@ -25,6 +23,7 @@ from jitflow import (
     run,
     schedule_cost,
 )
+from jitflow.fields import rel_l2
 
 
 def densified(base, lam: float):
@@ -61,8 +60,7 @@ def main() -> int:
     base = preset_schedule(args.preset)
     mu = make_target_image("smooth-gradient", shape)
     field = GaussianFlowField(mu, sigma1=args.sigma1)
-    truth = reference_solve(field, shape, args.seed, args.fine_steps).data.astype(np.float64)
-    truth_norm = float(np.linalg.norm(truth))
+    truth = reference_solve(field, shape, args.seed, args.fine_steps)
     model = normalized_model(0.0)
 
     print(f"preset {args.preset}, shape {h}x{w}x{c}, sigma1 {args.sigma1}, "
@@ -73,8 +71,7 @@ def main() -> int:
         lam = float(lam_text)
         sched = densified(base, lam)
         report = run(sched, field, shape, args.seed)
-        approx = report.endpoint.data.astype(np.float64)
-        err = float(np.linalg.norm(approx - truth)) / truth_norm
+        err = rel_l2(report.endpoint, truth)
         cost = schedule_cost(sched, model).total
         stages = "/".join(f"{s.steps}@{s.sparsity:g}" for s in sched.stages)
         trend = "" if prev_err is None or err <= prev_err + 1e-12 else "  (!)"

@@ -18,9 +18,7 @@ from jitflow import (
     preset_schedule,
     schedule_cost,
 )
-
-# wall-clock speedup targets used for the attention-share fit
-FIT_TARGETS = {"jit4x": 4.24, "jit7x": 7.07}
+from jitflow.cost import PUBLISHED_SPEEDUPS
 
 
 def main() -> int:
@@ -33,7 +31,7 @@ def main() -> int:
     args = parser.parse_args()
 
     fit = calibrate_attention_share(
-        [(preset_schedule(name), target) for name, target in sorted(FIT_TARGETS.items())],
+        [(preset_schedule(name), want) for name, want in sorted(PUBLISHED_SPEEDUPS.items())],
         baseline_steps=args.baseline,
     )
     models = {
@@ -45,7 +43,7 @@ def main() -> int:
     print(f"attention share fit: a = {fit.attention_share:.6f}")
     for name, predicted, rel in zip(fit.names, fit.predicted, fit.rel_errors):
         print(f"  {name}: predicted {predicted:.4f}x vs target "
-              f"{FIT_TARGETS[name]:.2f}x (rel err {rel:.4f})")
+              f"{PUBLISHED_SPEEDUPS[name]:.2f}x (rel err {rel:.4f})")
     print()
 
     header = f"{'preset':<10} {'nfe':>4}"

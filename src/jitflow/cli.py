@@ -16,18 +16,12 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .cost import CostModel, calibrate_attention_share, schedule_cost
+from .cost import PUBLISHED_SPEEDUPS, CostModel, calibrate_attention_share, schedule_cost
 from .errors import EngineError
-from .fields import reference_solve
+from .fields import reference_solve, rel_l2
 from .fileio import read_config, write_grid, write_metrics_csv, write_pgm, write_report
-from .sampler import run
 from .schedule import preset_schedule
 from .selftest import run_selftests
-
-# reference speedups for the normalized cost-model fit (dense 50-step baseline)
-PUBLISHED_SPEEDUPS = {"jit4x": 4.24, "jit7x": 7.07}
 
 
 def _load(path, print_warnings=True):
@@ -39,16 +33,7 @@ def _load(path, print_warnings=True):
 
 
 def _cmd_sample(args) -> int:
-    cfg = _load(args.config)
-    report = run(
-        cfg.resolve_schedule(),
-        cfg.resolve_field(),
-        cfg.shape,
-        cfg.seed,
-        options=cfg.resolve_options(),
-        cost_model=cfg.resolve_cost_model(),
-        baseline_steps=cfg.baseline_steps,
-    )
+    report = _load(args.config).run()
     if args.out_grid:
         write_grid(args.out_grid, report.endpoint)
     if args.out_report:
@@ -120,19 +105,9 @@ def _cmd_bench_cost(args) -> int:
 def _cmd_oracle_compare(args) -> int:
     cfg = _load(args.config)
     field = cfg.resolve_field()
-    report = run(
-        cfg.resolve_schedule(),
-        field,
-        cfg.shape,
-        cfg.seed,
-        options=cfg.resolve_options(),
-        cost_model=cfg.resolve_cost_model(),
-        baseline_steps=cfg.baseline_steps,
-    )
+    report = cfg.run(field)
     oracle = reference_solve(field, cfg.shape, cfg.seed, args.fine_steps)
-    diff = report.endpoint.data.astype(np.float64) - oracle.data.astype(np.float64)
-    rel = float(np.linalg.norm(diff) / max(np.linalg.norm(oracle.data), 1e-30))
-    print(f"rel_l2,{rel!r}")
+    print(f"rel_l2,{rel_l2(report.endpoint, oracle)!r}")
     print("stage,steps,m,stage_cost")
     per_stage: dict[int, list] = {}
     for s in report.steps:

@@ -1,59 +1,74 @@
 """Run configuration: one JSON document resolving to schedule + field + options.
 
-Schema (defaults in parentheses):
+The document holds a "shape", a "field" section (required), exactly one of
+"preset" or a "schedule" section, an "options" section and "cost"
+(CostModel coefficients; null means token-evaluation costs).  _SCALARS
+declares every scalar key once: its section, RunConfig field, JSON type
+and default (REQUIRED: the key must be present).  "shape", "preset",
+"field.params", "schedule.stages" and "cost" are parsed by hand.
 
-    {
-      "seed": 7,                              required
-      "shape": [32, 32, 4],                   required
-      "field": {"kind": "gaussian-bump",      required
-                "params": {},                 ({})
-                "sigma1": 0.0},               (0.0)
-      "preset": "jit4x",                      exactly one of preset / schedule
-      "schedule": {"stages": [[7, 0.35], ...],
-                   "alpha": 1.4, "beta": 0.42},
-      "options": {"invert_time": false, "shared_noise": false,
-                  "snapshot_stride": 0},      (all defaults)
-      "cost": {"c_attn": 0, "c_lin": 1,
-               "c_fix": 0, "n_ctx": 0},       (null: token-evaluation costs)
-      "baseline_steps": 50                    (50)
-    }
-
-Unknown keys are collected as warnings, not errors; missing required keys
-raise a config error naming the key.
+Unknown keys are collected as warnings, not errors.  A missing required
+key or a value of the wrong type raises a ConfigError naming the key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, fields
 
 from .cost import CostModel
 from .errors import ConfigError
-from .fields import GaussianFlowField, make_target_image
-from .sampler import RunOptions
+from .fields import GaussianFlowField, VelocityField, make_target_image
+from .sampler import RunOptions, RunReport, run as _run
 from .schedule import StageSchedule, StageSpec, build_schedule, preset_schedule
+
+REQUIRED = object()
+
+# (section, key, RunConfig field, type, default); section None is the top level
+_SCALARS = (
+    (None, "seed", "seed", int, REQUIRED),
+    (None, "baseline_steps", "baseline_steps", int, 50),
+    ("field", "kind", "field_kind", str, REQUIRED),
+    ("field", "sigma1", "sigma1", float, 0.0),
+    ("schedule", "alpha", "alpha", float, 1.0),
+    ("schedule", "beta", "beta", float, 1.0),
+    ("options", "invert_time", "invert_time", bool, False),
+    ("options", "shared_noise", "shared_noise", bool, False),
+    ("options", "snapshot_stride", "snapshot_stride", int, 0),
+)
+# the hand-parsed keys of each section
+_STRUCTURED = {
+    None: {"shape", "field", "preset", "schedule", "options", "cost"},
+    "field": {"params"},
+    "schedule": {"stages"},
+    "options": set(),
+}
+_COST_KEYS = {f.name for f in fields(CostModel)}
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A parsed config document; defaults live in _SCALARS."""
+
     seed: int
     shape: tuple[int, int, int]
     field_kind: str
-    field_params: dict = dc_field(default_factory=dict)
-    sigma1: float = 0.0
-    preset: str | None = None
-    stages: tuple[tuple[int, float], ...] | None = None
-    alpha: float = 1.0
-    beta: float = 1.0
-    invert_time: bool = False
-    shared_noise: bool = False
-    snapshot_stride: int = 0
-    cost: dict | None = None
-    baseline_steps: int = 50
+    field_params: dict
+    sigma1: float
+    preset: str | None
+    stages: tuple[tuple[int, float], ...] | None
+    alpha: float
+    beta: float
+    invert_time: bool
+    shared_noise: bool
+    snapshot_stride: int
+    cost: dict | None
+    baseline_steps: int
 
     def resolve_schedule(self) -> StageSchedule:
         if self.preset is not None:
             return preset_schedule(self.preset, self.invert_time)
-        specs = [StageSpec(int(s), float(sp)) for s, sp in self.stages]
+        specs = [StageSpec(s, sp) for s, sp in self.stages]
         n_steps = sum(s.steps for s in specs)
         return build_schedule(specs, n_steps, self.alpha, self.beta, self.invert_time)
 
@@ -61,11 +76,20 @@ class RunConfig:
         mu = make_target_image(self.field_kind, self.shape, self.field_params)
         return GaussianFlowField(mu, self.sigma1)
 
-    def resolve_options(self) -> RunOptions:
-        return RunOptions(self.shared_noise, self.snapshot_stride)
-
     def resolve_cost_model(self) -> CostModel | None:
         return CostModel(**self.cost) if self.cost is not None else None
+
+    def run(self, field: VelocityField | None = None) -> RunReport:
+        """The configured run; `field` replaces the configured field if given."""
+        return _run(
+            self.resolve_schedule(),
+            self.resolve_field() if field is None else field,
+            self.shape,
+            self.seed,
+            options=RunOptions(self.shared_noise, self.snapshot_stride),
+            cost_model=self.resolve_cost_model(),
+            baseline_steps=self.baseline_steps,
+        )
 
 
 def _require(doc: dict, key: str):
@@ -75,14 +99,22 @@ def _require(doc: dict, key: str):
 
 
 def _as(kind, value, key: str):
-    """kind(value), or a ConfigError naming the key."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(
-            f"config key {key} must be {'an integer' if kind is int else 'a number'}, "
-            f"got {value!r}"
-        ) from None
+    """value as a `kind`, or a ConfigError naming the key.
+
+    Integers must be whole numbers (7.0 gives 7), numbers may not be
+    booleans, flags must be booleans and strings must be strings.
+    """
+    if kind is bool or kind is str:
+        ok = isinstance(value, kind)
+    else:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and (kind is float or isinstance(value, int) or value.is_integer()))
+    if ok:
+        try:
+            return kind(value)
+        except OverflowError:  # an integer too large for a float
+            pass
+    raise ConfigError(f"config key {key} must be {_TYPE_NAMES[kind]}, got {value!r}")
 
 
 def _object(value, key: str) -> dict:
@@ -95,41 +127,39 @@ def config_from_dict(doc: dict) -> tuple[RunConfig, list[str]]:
     """Parse a config document; returns (config, unknown-key warnings)."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    warnings: list[str] = []
-    known = {
-        "seed", "shape", "field", "preset", "schedule", "options",
-        "cost", "baseline_steps",
-    }
-    warnings += [f"unknown config key: {k}" for k in sorted(set(doc) - known)]
-
-    seed = _as(int, _require(doc, "seed"), "seed")
-    shape = _require(doc, "shape")
-    if not (isinstance(shape, (list, tuple)) and len(shape) == 3):
-        raise ConfigError("shape must be [h_tok, w_tok, d]")
-    shape = tuple(_as(int, v, "shape") for v in shape)
-
-    fdoc = _require(doc, "field")
-    if not isinstance(fdoc, dict) or "kind" not in fdoc:
-        raise ConfigError("missing required config key: field.kind")
-    warnings += [
-        f"unknown field key: {k}"
-        for k in sorted(set(fdoc) - {"kind", "params", "sigma1"})
-    ]
-
     preset = doc.get("preset")
     sdoc = doc.get("schedule")
     if (preset is None) == (sdoc is None):
         raise ConfigError("config needs exactly one of 'preset' or 'schedule'")
-    if preset is not None and not isinstance(preset, str):
-        raise ConfigError("preset must be a preset name")
-    stages = alpha = beta = None
+    sections = {
+        None: doc,
+        "field": _object(_require(doc, "field"), "field"),
+        "schedule": _object(sdoc if sdoc is not None else {}, "schedule"),
+        "options": _object(doc.get("options", {}), "options"),
+    }
+    values = {}
+    for section, key, name, kind, default in _SCALARS:
+        path = key if section is None else f"{section}.{key}"
+        value = sections[section].get(key, default)
+        if value is REQUIRED:
+            raise ConfigError(f"missing required config key: {path}")
+        values[name] = _as(kind, value, path)
+    warnings: list[str] = []
+    for section, sub in sections.items():
+        known = _STRUCTURED[section] | {k for s, k, *_ in _SCALARS if s == section}
+        warnings += [f"unknown {section or 'config'} key: {k}"
+                     for k in sorted(set(sub) - known)]
+
+    shape = _require(doc, "shape")
+    if not (isinstance(shape, (list, tuple)) and len(shape) == 3):
+        raise ConfigError("shape must be [h_tok, w_tok, d]")
+    if preset is not None:
+        preset = _as(str, preset, "preset")
+
+    stages = None
     if sdoc is not None:
-        if not isinstance(sdoc, dict) or "stages" not in sdoc:
+        if "stages" not in sdoc:
             raise ConfigError("missing required config key: schedule.stages")
-        warnings += [
-            f"unknown schedule key: {k}"
-            for k in sorted(set(sdoc) - {"stages", "alpha", "beta"})
-        ]
         raw = sdoc["stages"]
         if not (isinstance(raw, (list, tuple))
                 and all(isinstance(p, (list, tuple)) and len(p) == 2 for p in raw)):
@@ -138,37 +168,20 @@ def config_from_dict(doc: dict) -> tuple[RunConfig, list[str]]:
             (_as(int, s, "schedule.stages"), _as(float, sp, "schedule.stages"))
             for s, sp in raw
         )
-        alpha = _as(float, sdoc.get("alpha", 1.0), "schedule.alpha")
-        beta = _as(float, sdoc.get("beta", 1.0), "schedule.beta")
 
-    odoc = _object(doc.get("options", {}), "options")
-    warnings += [
-        f"unknown options key: {k}"
-        for k in sorted(set(odoc) - {"invert_time", "shared_noise", "snapshot_stride"})
-    ]
-
-    cdoc = doc.get("cost")
-    if cdoc is not None:
-        cdoc = _object(cdoc, "cost")
-        unknown = set(cdoc) - {"c_attn", "c_lin", "c_fix", "n_ctx"}
+    cost = doc.get("cost")
+    if cost is not None:
+        unknown = set(_object(cost, "cost")) - _COST_KEYS
         warnings += [f"unknown cost key: {k}" for k in sorted(unknown)]
-        cdoc = {k: _as(float, v, f"cost.{k}") for k, v in cdoc.items() if k not in unknown}
+        cost = {k: _as(float, v, f"cost.{k}") for k, v in cost.items() if k in _COST_KEYS}
 
     cfg = RunConfig(
-        seed=seed,
-        shape=shape,
-        field_kind=str(fdoc["kind"]),
-        field_params=dict(_object(fdoc.get("params", {}), "field.params")),
-        sigma1=_as(float, fdoc.get("sigma1", 0.0), "field.sigma1"),
+        shape=tuple(_as(int, v, "shape") for v in shape),
+        field_params=dict(_object(sections["field"].get("params", {}), "field.params")),
         preset=preset,
         stages=stages,
-        alpha=alpha if alpha is not None else 1.0,
-        beta=beta if beta is not None else 1.0,
-        invert_time=bool(odoc.get("invert_time", False)),
-        shared_noise=bool(odoc.get("shared_noise", False)),
-        snapshot_stride=_as(int, odoc.get("snapshot_stride", 0), "options.snapshot_stride"),
-        cost=cdoc,
-        baseline_steps=_as(int, doc.get("baseline_steps", 50), "baseline_steps"),
+        cost=cost,
+        **values,
     )
     return cfg, warnings
 
@@ -176,28 +189,18 @@ def config_from_dict(doc: dict) -> tuple[RunConfig, list[str]]:
 def config_to_dict(cfg: RunConfig) -> dict:
     """Canonical full-form document; stable under parse -> emit."""
     doc: dict = {
-        "seed": cfg.seed,
         "shape": list(cfg.shape),
-        "field": {
-            "kind": cfg.field_kind,
-            "params": dict(cfg.field_params),
-            "sigma1": cfg.sigma1,
-        },
-        "options": {
-            "invert_time": cfg.invert_time,
-            "shared_noise": cfg.shared_noise,
-            "snapshot_stride": cfg.snapshot_stride,
-        },
-        "baseline_steps": cfg.baseline_steps,
+        "field": {"params": dict(cfg.field_params)},
+        "options": {},
     }
     if cfg.preset is not None:
         doc["preset"] = cfg.preset
     else:
-        doc["schedule"] = {
-            "stages": [[s, sp] for s, sp in cfg.stages],
-            "alpha": cfg.alpha,
-            "beta": cfg.beta,
-        }
+        doc["schedule"] = {"stages": [[s, sp] for s, sp in cfg.stages]}
     if cfg.cost is not None:
         doc["cost"] = dict(cfg.cost)
+    for section, key, name, _, _ in _SCALARS:
+        target = doc if section is None else doc.get(section)
+        if target is not None:
+            target[key] = getattr(cfg, name)
     return doc

@@ -171,3 +171,9 @@ def reference_solve(
         u = field.evaluate(gather(grid, everything), everything, i * dt)
         grid = grid.with_data(grid.data + u.values * np.float32(dt))
     return grid
+
+
+def rel_l2(approx: TokenGrid, truth: TokenGrid) -> float:
+    """Relative L2 error ||approx - truth|| / ||truth|| of two grids."""
+    diff = approx.data.astype(np.float64) - truth.data.astype(np.float64)
+    return float(np.linalg.norm(diff) / max(np.linalg.norm(truth.data), 1e-30))

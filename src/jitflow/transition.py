@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NestingError, ParameterError
-from .grid import ActiveBlock, IndexSet, TokenGrid, gather, index_set
+from .grid import ActiveBlock, IndexSet, TokenGrid, complement, gather, index_set
 from .importance import ImportanceMap, importance_map, top_tokens
 from .interp import lift
 
@@ -110,10 +110,7 @@ def apply_transition(
     if new_count < 1:
         raise ParameterError(f"new_count must be >= 1, got {new_count}")
     imap = importance_map(prev_velocity)
-    inactive = np.setdiff1d(
-        np.arange(active.n_total, dtype=np.int64), active.indices, assume_unique=True
-    )
-    ring = top_tokens(imap, IndexSet(active.n_total, inactive), new_count)
+    ring = top_tokens(imap, complement(active), new_count)
     y_hat = predict_clean(prev_state, prev_t, prev_velocity)
     target = dmf_target(y_hat, active, ring, t_boundary, noise)
     data = state.data.copy()

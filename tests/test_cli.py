@@ -137,7 +137,13 @@ def test_error_paths_exit_nonzero(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "bad", [{"seed": "abc"}, {"cost": [1]}, {"schedule": {"stages": [[7]]}, "preset": None}]
+    "bad",
+    [
+        {"seed": "abc"},
+        {"cost": [1]},
+        {"schedule": {"stages": [[7]]}, "preset": None},
+        {"options": {"invert_time": "false"}},
+    ],
 )
 def test_bad_config_values_exit_with_one_error_line(tmp_path, capsys, bad):
     doc = {k: v for k, v in {**SMALL, **bad}.items() if v is not None}

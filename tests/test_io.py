@@ -232,11 +232,21 @@ def test_config_rejects_malformed_json(tmp_path):
         ("options", {"snapshot_stride": 1.5e400}, "options.snapshot_stride"),
         ("baseline_steps", "many", "baseline_steps"),
         ("preset", ["jit4x"], "preset"),
+        ("seed", 3.7, "seed"),
+        ("shape", [8.9, 8, 4], "shape"),
+        ("shape", [8, 8, True], "shape"),
+        ("options", {"invert_time": "false"}, "options.invert_time"),
+        ("field", {"kind": "gaussian-bump", "sigma1": True}, "field.sigma1"),
     ],
 )
 def test_config_type_errors_are_config_errors(key, value, named):
     with pytest.raises(ConfigError, match=named):
         config_from_dict({**MINIMAL, key: value})
+
+
+def test_config_whole_number_float_is_an_integer():
+    cfg, _ = config_from_dict({**MINIMAL, "seed": 7.0})
+    assert cfg.seed == 7 and type(cfg.seed) is int
 
 
 @pytest.mark.parametrize(
