@@ -3,38 +3,45 @@
 The document holds a "shape", a "field" section (required), exactly one of
 "preset" or a "schedule" section, an "options" section and "cost"
 (CostModel coefficients; null means token-evaluation costs).  _SCALARS
-declares every scalar key once: its section, RunConfig field, JSON type
-and default (REQUIRED: the key must be present).  "shape", "preset",
-"field.params", "schedule.stages" and "cost" are parsed by hand.
+declares every scalar key once: its section, RunConfig field, JSON type,
+default (REQUIRED: the key must be present) and minimum.  "shape",
+"preset", "field.params", "schedule.stages" and "cost" are parsed by hand.
 
 Unknown keys are collected as warnings, not errors.  A missing required
-key or a value of the wrong type raises a ConfigError naming the key.
+key or a value of the wrong type or below its minimum raises a ConfigError
+naming the key.  A shape holding more than MAX_STATE_VALUES values raises
+a BudgetError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .cost import CostModel
-from .errors import ConfigError
+from .errors import BudgetError, ConfigError
 from .fields import GaussianFlowField, VelocityField, make_target_image
 from .sampler import RunOptions, RunReport, run as _run
 from .schedule import StageSchedule, StageSpec, build_schedule, preset_schedule
 
 REQUIRED = object()
 
-# (section, key, RunConfig field, type, default); section None is the top level
+# (section, key, RunConfig field, type, default, minimum); section None is
+# the top level, minimum None means no floor
 _SCALARS = (
-    (None, "seed", "seed", int, REQUIRED),
-    (None, "baseline_steps", "baseline_steps", int, 50),
-    ("field", "kind", "field_kind", str, REQUIRED),
-    ("field", "sigma1", "sigma1", float, 0.0),
-    ("schedule", "alpha", "alpha", float, 1.0),
-    ("schedule", "beta", "beta", float, 1.0),
-    ("options", "invert_time", "invert_time", bool, False),
-    ("options", "shared_noise", "shared_noise", bool, False),
-    ("options", "snapshot_stride", "snapshot_stride", int, 0),
+    (None, "seed", "seed", int, REQUIRED, None),
+    (None, "baseline_steps", "baseline_steps", int, 50, 1),
+    ("field", "kind", "field_kind", str, REQUIRED, None),
+    ("field", "sigma1", "sigma1", float, 0.0, None),
+    ("schedule", "alpha", "alpha", float, 1.0, None),
+    ("schedule", "beta", "beta", float, 1.0, None),
+    ("options", "invert_time", "invert_time", bool, False, None),
+    ("options", "shared_noise", "shared_noise", bool, False, None),
+    ("options", "snapshot_stride", "snapshot_stride", int, 0, 0),
 )
+# h * w * d above this is refused: a jit4x run peaks at about 225 bytes of
+# numpy memory per state value (measured at 256x256x4), so ~1 GB here
+MAX_STATE_VALUES = 1 << 22
 # the hand-parsed keys of each section
 _STRUCTURED = {
     None: {"shape", "field", "preset", "schedule", "options", "cost"},
@@ -138,12 +145,14 @@ def config_from_dict(doc: dict) -> tuple[RunConfig, list[str]]:
         "options": _object(doc.get("options", {}), "options"),
     }
     values = {}
-    for section, key, name, kind, default in _SCALARS:
+    for section, key, name, kind, default, minimum in _SCALARS:
         path = key if section is None else f"{section}.{key}"
         value = sections[section].get(key, default)
         if value is REQUIRED:
             raise ConfigError(f"missing required config key: {path}")
         values[name] = _as(kind, value, path)
+        if minimum is not None and values[name] < minimum:
+            raise ConfigError(f"config key {path} must be >= {minimum}, got {value!r}")
     warnings: list[str] = []
     for section, sub in sections.items():
         known = _STRUCTURED[section] | {k for s, k, *_ in _SCALARS if s == section}
@@ -153,6 +162,15 @@ def config_from_dict(doc: dict) -> tuple[RunConfig, list[str]]:
     shape = _require(doc, "shape")
     if not (isinstance(shape, (list, tuple)) and len(shape) == 3):
         raise ConfigError("shape must be [h_tok, w_tok, d]")
+    shape = tuple(_as(int, v, "shape") for v in shape)
+    if min(shape) < 1:
+        raise ConfigError(f"shape entries must be >= 1, got {list(shape)}")
+    n_values = math.prod(shape)
+    if n_values > MAX_STATE_VALUES:
+        raise BudgetError(
+            f"shape {list(shape)} holds {n_values} state values, "
+            f"above the limit of {MAX_STATE_VALUES}"
+        )
     if preset is not None:
         preset = _as(str, preset, "preset")
 
@@ -176,7 +194,7 @@ def config_from_dict(doc: dict) -> tuple[RunConfig, list[str]]:
         cost = {k: _as(float, v, f"cost.{k}") for k, v in cost.items() if k in _COST_KEYS}
 
     cfg = RunConfig(
-        shape=tuple(_as(int, v, "shape") for v in shape),
+        shape=shape,
         field_params=dict(_object(sections["field"].get("params", {}), "field.params")),
         preset=preset,
         stages=stages,
@@ -199,7 +217,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
         doc["schedule"] = {"stages": [[s, sp] for s, sp in cfg.stages]}
     if cfg.cost is not None:
         doc["cost"] = dict(cfg.cost)
-    for section, key, name, _, _ in _SCALARS:
+    for section, key, name, *_ in _SCALARS:
         target = doc if section is None else doc.get(section)
         if target is not None:
             target[key] = getattr(cfg, name)

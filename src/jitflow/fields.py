@@ -76,7 +76,7 @@ class GaussianFlowField:
     def evaluate(self, block: ActiveBlock, active: IndexSet, t: float) -> ActiveBlock:
         if block.m != len(active) or block.d != self.mu.d:
             raise FieldContractError("block does not match active set / field dims")
-        mu = self.mu.data[active.indices].astype(np.float64)
+        mu = np.take(self.mu.data, active.indices, axis=0).astype(np.float64)
         sig = self._sigma1[active.indices][:, None]
         u = gaussian_flow_velocity(block.values, t, mu, sig)
         return ActiveBlock(block.m, block.d, u.astype(np.float32))

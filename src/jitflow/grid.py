@@ -137,7 +137,7 @@ def gather(grid: TokenGrid, active: IndexSet) -> ActiveBlock:
         raise DimensionError(
             f"index set over {active.n_total} tokens, grid has {grid.n_tokens}"
         )
-    return ActiveBlock(len(active), grid.d, grid.data[active.indices])
+    return ActiveBlock(len(active), grid.d, np.take(grid.data, active.indices, axis=0))
 
 
 def embed(block: ActiveBlock, active: IndexSet, shape: tuple[int, int, int]) -> TokenGrid:

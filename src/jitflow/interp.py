@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .grid import ActiveBlock, IndexSet, TokenGrid, embed
+from .grid import ActiveBlock, IndexSet, TokenGrid
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ def nearest_fill(block: ActiveBlock, active: IndexSet, shape: tuple[int, int, in
     h, w, d = shape
     if block.m != len(active) or block.d != d:
         raise DimensionError("block / set / shape mismatch in nearest_fill")
-    return TokenGrid(h, w, d, block.values[owner_map(active, h, w)])
+    return TokenGrid(h, w, d, np.take(block.values, owner_map(active, h, w), axis=0))
 
 
 def gaussian_blur(grid: TokenGrid, spec: BlurSpec) -> TokenGrid:
@@ -158,9 +158,10 @@ def lift(block: ActiveBlock, active: IndexSet, shape: tuple[int, int, int]) -> T
     """
     h, w, d = shape
     if len(active) == active.n_total:
-        # full set: composition keeps every nearest-fill value, which is the
-        # identity; skip the blur (bitwise-equal, verified in tests)
-        return embed(block, active, shape)
+        # full set (necessarily arange(n)): composition keeps every
+        # nearest-fill value, which is the identity; skip the blur and the
+        # scatter (bitwise-equal, verified in tests)
+        return TokenGrid(h, w, d, block.values.copy())
     z_nn = nearest_fill(block, active, shape)
     z_blur = gaussian_blur(z_nn, blur_params(len(active), h * w))
     out = z_blur.data.copy()

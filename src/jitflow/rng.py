@@ -19,6 +19,8 @@ Derived values:
     uniform shifted into (0, 1] to keep the logarithm finite.
   * bounded integers use value % bound (the tiny modulo bias is irrelevant
     here; determinism is what matters).
+  * choose(items, k) reads its k raw values in one draw and reduces the
+    j-th modulo n - j, so it equals k successive integer_below calls.
 """
 
 from __future__ import annotations
@@ -112,11 +114,13 @@ class UniformStream:
 
         Returned entries are sorted; the draw order itself is not exposed.
         """
-        pool = np.array(items, copy=True)
+        pool = np.asarray(items)
         n = len(pool)
         if not 0 <= k <= n:
             raise ValueError(f"cannot choose {k} of {n} items")
-        for j in range(k):
-            swap = j + self.integer_below(n - j)
-            pool[j], pool[swap] = pool[swap], pool[j]
-        return np.sort(pool[:k])
+        offsets = self.uint64(k) % np.arange(n, n - k, -1, dtype=np.uint64)
+        picks = pool.tolist()
+        for j, offset in enumerate(offsets.tolist()):
+            swap = j + offset
+            picks[j], picks[swap] = picks[swap], picks[j]
+        return np.sort(np.array(picks[:k], dtype=pool.dtype))

@@ -55,7 +55,9 @@ def dmf_target(
         raise ParameterError(f"t_boundary must lie in [0, 1], got {t_boundary}")
     phi = lift(gather(y_hat, anchors), anchors, y_hat.shape)
     w = np.float32(t_boundary)
-    vals = w * phi.data[ring.indices] + (np.float32(1.0) - w) * noise.data[ring.indices]
+    phi_ring = np.take(phi.data, ring.indices, axis=0)
+    noise_ring = np.take(noise.data, ring.indices, axis=0)
+    vals = w * phi_ring + (np.float32(1.0) - w) * noise_ring
     return ActiveBlock(len(ring), y_hat.d, vals)
 
 

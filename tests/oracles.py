@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's own code paths: a full
 token-by-anchor distance matrix for nearest-anchor owners, direct 2-D
 convolution with explicit index clamping, per-window enumeration for
-variances, adaptive quadrature + root finding for the Beta CDF inverse, and
-Monte Carlo regression for the analytic velocity field.
+variances, adaptive quadrature + root finding for the Beta CDF inverse,
+Monte Carlo regression for the analytic velocity field, and a partial
+Fisher-Yates selection that draws one bounded integer per pick.
 """
 
 from __future__ import annotations
@@ -29,6 +30,18 @@ def brute_owner_map(indices: np.ndarray, h: int, w: int) -> np.ndarray:
         tokens[:, None] % w - indices[None, :] % w
     ) ** 2
     return np.argmin(dist2, axis=1)
+
+
+def scalar_choose(stream, items: np.ndarray, k: int) -> np.ndarray:
+    """UniformStream.choose one pick at a time: an integer_below per swap."""
+    pool = np.array(items, copy=True)
+    n = len(pool)
+    if not 0 <= k <= n:
+        raise ValueError(f"cannot choose {k} of {n} items")
+    for j in range(k):
+        swap = j + stream.integer_below(n - j)
+        pool[j], pool[swap] = pool[swap], pool[j]
+    return np.sort(pool[:k])
 
 
 def dense_conv2d_replicate(arr: np.ndarray, kernel1d: np.ndarray) -> np.ndarray:

@@ -143,6 +143,8 @@ def test_error_paths_exit_nonzero(tmp_path, capsys):
         {"cost": [1]},
         {"schedule": {"stages": [[7]]}, "preset": None},
         {"options": {"invert_time": "false"}},
+        {"baseline_steps": 0},
+        {"options": {"snapshot_stride": -1}},
     ],
 )
 def test_bad_config_values_exit_with_one_error_line(tmp_path, capsys, bad):
@@ -153,6 +155,15 @@ def test_bad_config_values_exit_with_one_error_line(tmp_path, capsys, bad):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ConfigError: ")
+
+
+def test_oversized_shape_exits_with_one_budget_error_line(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {**SMALL, "shape": [3000000, 3000000, 4]})
+    assert main(["sample", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: BudgetError: shape ")
 
 
 def test_unknown_config_keys_warn_on_stderr(tmp_path, capsys):

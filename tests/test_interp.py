@@ -85,6 +85,23 @@ def test_nearest_fill_matches_brute_force():
         assert np.array_equal(out.data, block.values[owner])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_gather_and_nearest_fill_equal_fancy_index(h, w, d, seed):
+    # np.take row gathers must equal fancy indexing: values, dtype, no aliasing
+    rng = np.random.default_rng(seed)
+    n = h * w
+    g = TokenGrid(h, w, d, rng.standard_normal((n, d)).astype(np.float32))
+    active = index_set(n, rng.choice(n, size=rng.integers(1, n + 1), replace=False))
+    block = gather(g, active)
+    want = g.data[active.indices]
+    assert block.values.dtype == want.dtype and np.array_equal(block.values, want)
+    assert not np.shares_memory(block.values, g.data)
+    filled = nearest_fill(block, active, g.shape).data
+    want = block.values[owner_map(active, h, w)]
+    assert filled.dtype == want.dtype and np.array_equal(filled, want)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_owner_map_equals_brute_force(data):
@@ -212,7 +229,9 @@ def test_lift_full_set_is_identity_bitwise():
     g = TokenGrid(4, 4, 2, stream.normal(32).astype(np.float32))
     everything = full_set(16)
     block = gather(g, everything)
-    assert np.array_equal(lift(block, everything, g.shape).data, g.data)
+    out = lift(block, everything, g.shape).data
+    assert np.array_equal(out, g.data)
+    assert not np.shares_memory(out, block.values)
 
 
 def test_lift_full_set_shortcut_matches_composed_path():

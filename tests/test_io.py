@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jitflow.config import RunConfig, config_from_dict, config_to_dict
-from jitflow.errors import ConfigError, FormatError
+from jitflow.config import MAX_STATE_VALUES, RunConfig, config_from_dict, config_to_dict
+from jitflow.errors import BudgetError, ConfigError, EngineError, FormatError
 from jitflow.fields import GaussianFlowField, ReplayField, initial_noise, make_target_image
 from jitflow import fileio
 from jitflow.fileio import (
@@ -58,6 +58,48 @@ def test_jitg_roundtrip_bitwise(tmp_path):
 def grid_bytes():
     g = TokenGrid(2, 2, 1, np.arange(4, dtype=np.float32).reshape(4, 1))
     return b"JITG" + struct.pack("<IIII", 1, 2, 2, 1) + g.data.tobytes()
+
+
+# (kind, ...) edits applied in turn to the bytes of a valid JITG file
+JITG_MUTATIONS = st.one_of(
+    # header field: version, h, w or d set to any uint32
+    st.tuples(st.just("field"), st.sampled_from([4, 8, 12, 16]), st.integers(0, 2**32 - 1)),
+    st.tuples(st.just("truncate"), st.integers(0, 120)),
+    st.tuples(st.just("trail"), st.binary(min_size=1, max_size=9)),
+    st.tuples(st.just("float"), st.integers(0, 47),
+              st.sampled_from([float("nan"), float("inf"), float("-inf")])),
+    st.tuples(st.just("byte"), st.integers(0, 120), st.integers(0, 255)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4), st.integers(1, 4), st.integers(1, 3),
+    st.lists(JITG_MUTATIONS, min_size=1, max_size=3),
+)
+def test_read_grid_fuzz_only_engine_errors_escape(tmp_path_factory, h, w, d, mutations):
+    data = np.arange(h * w * d, dtype=np.float32).reshape(h * w, d)
+    raw = bytearray(b"JITG" + struct.pack("<IIII", 1, h, w, d) + data.tobytes())
+    for kind, *args in mutations:
+        if kind == "field":
+            raw[args[0]:args[0] + 4] = struct.pack("<I", args[1])
+        elif kind == "truncate":
+            del raw[args[0]:]
+        elif kind == "trail":
+            raw += args[0]
+        elif kind == "float":
+            at = 20 + 4 * (args[0] % (h * w * d))
+            raw[at:at + 4] = struct.pack("<f", args[1])
+        elif args[0] < len(raw):
+            raw[args[0]] = args[1]
+    p = tmp_path_factory.getbasetemp() / "fuzz.jitg"
+    p.write_bytes(bytes(raw))
+    try:
+        grid = read_grid(p)
+    except EngineError:
+        return
+    assert grid.data.shape == (grid.h_tok * grid.w_tok, grid.d)
+    assert np.all(np.isfinite(grid.data))
 
 
 @pytest.mark.parametrize(
@@ -250,6 +292,37 @@ def test_config_whole_number_float_is_an_integer():
 
 
 @pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("baseline_steps", 0, "baseline_steps must be >= 1, got 0"),
+        ("baseline_steps", -5, "baseline_steps must be >= 1, got -5"),
+        ("options", {"snapshot_stride": -1}, "options.snapshot_stride must be >= 0, got -1"),
+        ("shape", [0, 8, 4], "shape entries must be >= 1"),
+        ("shape", [8, -2, 4], "shape entries must be >= 1"),
+    ],
+)
+def test_config_values_below_minimum_are_config_errors(key, value, message):
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict({**MINIMAL, key: value})
+
+
+def test_config_minimum_values_are_accepted():
+    cfg, _ = config_from_dict(
+        {**MINIMAL, "baseline_steps": 1, "options": {"snapshot_stride": 0}}
+    )
+    assert cfg.baseline_steps == 1 and cfg.snapshot_stride == 0
+
+
+def test_config_shape_over_the_state_budget_is_a_budget_error():
+    with pytest.raises(BudgetError, match="shape"):
+        config_from_dict({**MINIMAL, "shape": [3000000, 3000000, 4]})
+    with pytest.raises(BudgetError, match="shape"):
+        config_from_dict({**MINIMAL, "shape": [MAX_STATE_VALUES + 1, 1, 1]})
+    cfg, _ = config_from_dict({**MINIMAL, "shape": [MAX_STATE_VALUES, 1, 1]})
+    assert cfg.shape == (MAX_STATE_VALUES, 1, 1)
+
+
+@pytest.mark.parametrize(
     "stages", [[[7]], [7, 0.35], "7,0.35", [[7, "x"]], [["x", 0.35]], {"7": 0.35}]
 )
 def test_config_bad_stages_are_config_errors(stages):
@@ -291,7 +364,7 @@ def test_config_fuzz_only_config_errors_escape(path, value, inline_schedule):
         doc[path[0]] = value
     try:
         config_from_dict(doc)
-    except ConfigError:
+    except (ConfigError, BudgetError):
         pass
 
 

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from jitflow.rng import UniformStream, derive_seed, mix64
 
+from oracles import scalar_choose
+
 # reference outputs of the splitmix64 generator for seed 0 (state advances by
 # the golden-ratio increment before each mix)
 SPLITMIX64_SEED0 = [
@@ -80,6 +82,34 @@ def test_choose_full_and_errors():
     assert np.array_equal(UniformStream(3).choose(pool, 6), pool)
     with pytest.raises(ValueError):
         UniformStream(3).choose(pool, 7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2**40),
+    st.integers(0, 80),
+    st.data(),
+    st.sampled_from([np.int64, np.int32, np.uint64, np.float64]),
+)
+def test_choose_equals_scalar_oracle(seed, start, n, data, dtype):
+    k = data.draw(st.one_of(st.just(0), st.just(n), st.integers(0, n)))
+    items = (np.arange(n) * 7 + 3).astype(dtype)
+    vec, ref = UniformStream(seed), UniformStream(seed)
+    vec.counter = ref.counter = start
+    got = vec.choose(items, k)
+    want = scalar_choose(ref, items, k)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert vec.counter == ref.counter == start + k
+
+
+def test_choose_selector_size_equals_scalar_oracle():
+    # the k of a 128x128 jit4x selector, well past the hypothesis sizes
+    items = np.arange(16384, dtype=np.int64)
+    vec, ref = UniformStream(11), UniformStream(11)
+    assert np.array_equal(vec.choose(items, 11800), scalar_choose(ref, items, 11800))
+    assert vec.counter == ref.counter == 11800
 
 
 def test_derive_seed_separates_labels_and_indices():

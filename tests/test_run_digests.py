@@ -2,9 +2,12 @@
 
 Each digest is the SHA-256 of the canonical report JSON followed by the
 endpoint bytes of one run on the analytic gaussian-bump field (sigma1 0.5).
-They were recorded with the brute-force nearest-anchor search (a full token
-by anchor distance matrix), before the k-d tree owner map replaced it, so
-equality here shows the replacement changed no number.  Recorded on x86-64
+The first ten were recorded with the brute-force nearest-anchor search (a
+full token by anchor distance matrix), before the k-d tree owner map
+replaced it, so equality here shows the replacement changed no number.  The
+vanilla12 and 128x128 entries were recorded while the selector still drew
+one bounded integer per pick and row gathers used fancy indexing; they pin
+the one-read selector draw and the np.take gathers.  Recorded on x86-64
 with numpy 2.4.
 """
 
@@ -28,6 +31,9 @@ DIGESTS = {
     ("jit7x", 32, 12345): "d51086a117e29ba5a2595ce7bcd249d6084a9679da04f71eb0517311354a3910",
     ("jit4x", 48, 0): "10db7a3a15400996884bcaf113bc4e463b8a25f28a3e63d485e81f0a9d795090",
     ("jit4x", 48, 12345): "14c8ab9c3b955a813e14a907cb86fc5edac4498105cd6f27d1e906e788d241c3",
+    ("vanilla12", 32, 0): "284b1f46776112ab99f891bc4843adea61c830d9cac4c2ec4a153a330a594a0d",
+    ("vanilla12", 32, 101): "1993d0a272fef985893fae2805e449dfe64be314c86da0ae95114cfbdda5f03c",
+    ("jit4x", 128, 0): "387c5fe77bf8bc2786f36f185fc9c93f55c0181b8b882198395d5c13729debf5",
 }
 
 
