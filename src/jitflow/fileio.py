@@ -14,13 +14,14 @@ from __future__ import annotations
 import json
 import os
 import struct
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig, config_from_dict, config_to_dict
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, EngineError, FormatError
 from .fields import ReplayField
 from .grid import IndexSet, TokenGrid
 from .importance import ImportanceMap
@@ -119,12 +120,22 @@ def write_config(path, cfg: RunConfig) -> None:
     _atomic_write(path, canonical_json(config_to_dict(cfg)).encode("utf-8"))
 
 
-def read_config(path) -> tuple[RunConfig, list[str]]:
+def _read_json(path, error: type[EngineError], what: str):
+    """The JSON document at path; a file that cannot be read or parsed raises error."""
     try:
-        doc = json.loads(Path(path).read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return config_from_dict(doc)
+        return json.loads(Path(path).read_text("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} is not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:
+        raise error(f"{what} is nested too deeply") from exc
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+        raise error(f"{what} is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise error(f"cannot read {what}: {exc}") from exc
+
+
+def read_config(path) -> tuple[RunConfig, list[str]]:
+    return config_from_dict(_read_json(path, ConfigError, "config"))
 
 
 def _stats(values: np.ndarray) -> dict:
@@ -204,17 +215,17 @@ def save_replay(field: ReplayField, dirpath) -> None:
 
 def load_replay(dirpath, strict: bool = True) -> ReplayField:
     dirpath = Path(dirpath)
-    try:
-        doc = json.loads((dirpath / "manifest.json").read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"replay manifest is not valid JSON: {exc}") from exc
+    doc = _read_json(dirpath / "manifest.json", FormatError, "replay manifest")
     entries = doc.get("entries") if isinstance(doc, dict) else None
     if not isinstance(entries, list):
         raise FormatError("replay manifest needs an 'entries' list")
     field = ReplayField(strict=strict)
     for pos, entry in enumerate(entries):
         indices, t, name = _manifest_entry(entry, pos)
-        block = read_grid(dirpath / name)
+        try:
+            block = read_grid(dirpath / name)
+        except (OSError, ValueError) as exc:  # ValueError: a name the OS cannot encode
+            raise FormatError(f"replay entry {pos}: cannot read {name!r}: {exc}") from exc
         if block.n_tokens != len(indices):
             raise FormatError(
                 f"replay entry {pos}: {name} holds {block.n_tokens} tokens, "
@@ -232,11 +243,11 @@ def _manifest_entry(entry, pos: int) -> tuple[np.ndarray, float, str]:
     if missing:
         raise FormatError(f"replay entry {pos} lacks {', '.join(missing)}")
     name, raw_indices, t = entry["file"], entry["indices"], entry["t"]
-    if not isinstance(name, str) or Path(name).name != name:
+    if not isinstance(name, str) or Path(name).name != name or name in ("", ".."):
         raise FormatError(f"replay entry {pos}: file must be a bare file name")
     if not (isinstance(raw_indices, list)
             and all(type(i) is int and 0 <= i < 2**63 for i in raw_indices)):
         raise FormatError(f"replay entry {pos}: indices must be a list of token indices")
-    if isinstance(t, bool) or not isinstance(t, (int, float)):
+    if isinstance(t, bool) or not isinstance(t, (int, float)) or abs(t) > sys.float_info.max:
         raise FormatError(f"replay entry {pos}: t must be a number")
     return np.asarray(raw_indices, dtype=np.int64), float(t), name

@@ -10,16 +10,19 @@ activated tokens at a stage transition.  The pipeline is
 
 The nearest-neighbor fill reads an owner map: for every token, the index of
 its nearest anchor by Euclidean distance between (row, col) grid positions,
-ties going to the lowest anchor index.  The map is exact.  A k-d tree over
-the anchors gives each token's k nearest candidates; squared distances are
-integers, recomputed exactly from the candidates, and the lowest index among
-those at the minimum wins.  A token whose k-th candidate still ties the
-first may have more tied anchors than k, so it is resolved by a ball query
-at a radius between the minimum and the next integer distance.  The map
-depends only on the grid size and the active set, so it is memoized per
-(h, w, indices) in a small LRU cache: a staged run builds one map per
-distinct active set, and the lift at a stage boundary reuses the map of
-the stage it closes.  Memory is O(N * k), not O(N * m).
+ties going to the lowest anchor index.  The map is exact, and its time and
+memory grow about linearly with N.  The exact Euclidean distance transform
+of Maurer et al. (IEEE TPAMI 2003, as scipy.ndimage.distance_transform_edt)
+gives every token one nearest anchor; its squared distance d2 is an exact
+integer.  A token with several anchors at d2 always has a 4-neighbour whose
+transform anchor differs from its own, so only such tokens need the tie
+pass.  That pass enumerates the lattice offsets of squared length exactly
+d2 from a table of the non-negative quadrant (at most h * w entries, sorted
+by length) under the four sign flips, and keeps the lowest anchor index
+found.  The map depends only on the grid size and the active set, so it is
+memoized per (h, w, indices) in a small LRU cache: a staged run builds one
+map per distinct active set, and the lift at a stage boundary reuses the
+map of the stage it closes.
 
 The blur scale tracks anchor density: with ratio rho = m / N the mean
 anchor spacing is L = rho^(-1/2) tokens, sigma = 0.4 L, and the kernel
@@ -85,9 +88,6 @@ def _convolve_axis(arr: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray
     return out
 
 
-_OWNER_CANDIDATES = 8  # k of the k-d tree query; ties beyond it fall back to a ball query
-
-
 def owner_map(active: IndexSet, h: int, w: int) -> np.ndarray:
     """Index into active.indices of each token's nearest anchor.
 
@@ -104,30 +104,47 @@ def owner_map(active: IndexSet, h: int, w: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _cached_owner_map(h: int, w: int, key: bytes) -> np.ndarray:
-    from scipy.spatial import cKDTree
+    from scipy.ndimage import distance_transform_edt
 
     anchors = np.frombuffer(key, dtype=np.int64)
-    a_pos = np.stack([anchors // w, anchors % w], axis=1)
-    tokens = np.arange(h * w, dtype=np.int64)
-    pos = np.stack([tokens // w, tokens % w], axis=1)
-    tree = cKDTree(a_pos)
-    k = min(_OWNER_CANDIDATES, len(anchors))
-    _, cand = tree.query(pos, k=k)
-    cand = cand.reshape(len(tokens), k)
-    # exact integer squared distances to the candidates
-    dist2 = ((pos[:, None, :] - a_pos[cand]) ** 2).sum(axis=2)
-    best = dist2.min(axis=1)
-    # lowest candidate index at the minimum distance; len(anchors) is a sentinel
-    owner = np.where(dist2 == best[:, None], cand, len(anchors)).min(axis=1)
-    if k < len(anchors):
-        # the k-th candidate ties the first: there may be tied anchors past k
-        unsure = np.flatnonzero(dist2[:, -1] == best)
-        if unsure.size:
-            radii = np.sqrt(best[unsure] + 0.5)  # strictly below the next integer
-            for tok, hits in zip(unsure, tree.query_ball_point(pos[unsure], radii)):
-                hits = np.asarray(hits, dtype=np.int64)
-                d2 = ((a_pos[hits] - pos[tok]) ** 2).sum(axis=1)
-                owner[tok] = hits[d2 == best[tok]].min()
+    n, m = h * w, len(anchors)
+    rank = np.full(n, m, dtype=np.int64)  # anchor index of each token, m elsewhere
+    rank[anchors] = np.arange(m)
+    rows, cols = distance_transform_edt(
+        (rank == m).reshape(h, w), return_distances=False, return_indices=True
+    ).astype(np.int64)
+    near = rows * w + cols  # one nearest anchor of each token
+    # Whichever tied anchor a the transform gave token p, a second tied
+    # anchor b makes some 4-neighbour of p inside the grid strictly nearer to
+    # b than to a, so that neighbour's anchor differs from p's.  A token whose
+    # 4-neighbours all share its anchor therefore has no tie.
+    unsure = np.zeros((h, w), dtype=bool)
+    down = near[1:] != near[:-1]
+    unsure[1:] |= down
+    unsure[:-1] |= down
+    right = near[:, 1:] != near[:, :-1]
+    unsure[:, 1:] |= right
+    unsure[:, :-1] |= right
+    tok = np.flatnonzero(unsure)
+    r, c = np.divmod(tok, w)
+    d2 = (rows.ravel()[tok] - r) ** 2 + (cols.ravel()[tok] - c) ** 2
+    # quadrant offsets that can reach d2, sorted by squared length
+    reach = math.isqrt(int(d2.max(initial=0)))
+    tw = min(w, reach + 1)
+    qr, qc = np.divmod(np.arange(min(h, reach + 1) * tw), tw)
+    length2 = qr * qr + qc * qc
+    order = np.argsort(length2)
+    length2 = length2[order]
+    start = np.searchsorted(length2, d2, "left")
+    count = np.searchsorted(length2, d2, "right") - start
+    # one row per (token, offset of squared length exactly d2)
+    pick = order[np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)]
+    tok, r, c = (np.repeat(a, count) for a in (tok, r, c))
+    owner = rank[near.ravel()]
+    for sr, sc in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        rr, cc = r + sr * qr[pick], c + sc * qc[pick]
+        inside = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
+        np.minimum.at(owner, tok[inside], rank[rr[inside] * w + cc[inside]])
     owner.setflags(write=False)
     return owner
 

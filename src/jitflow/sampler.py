@@ -1,12 +1,16 @@
 """The staged sparse sampling loop.
 
 Each solver step evaluates the velocity field only on the active anchor
-tokens, lifts the result to a full-dimensional velocity (exact on anchors,
-interpolated elsewhere), and takes an explicit Euler step.  At stage
-boundaries the active set grows: importance scores of the previous lifted
-velocity pick the new tokens, and the micro-flow target seats their state.
-A single-stage dense schedule reduces bit-for-bit to plain Euler flow
-matching.
+tokens and takes an explicit Euler step on those rows alone, so a sparse
+step costs O(m) work.  Inactive rows keep the value they were last seated
+with: every token is activated before the final, dense stage, and
+activation overwrites its state with the micro-flow target, so nothing
+downstream reads an inactive row.  Only the step just before a stage
+boundary lifts its velocity to the full grid (exact on anchors,
+interpolated elsewhere), because the transition reads it there: importance
+scores of the lifted velocity pick the new tokens, and the micro-flow
+target seats their state.  A single-stage dense schedule reduces
+bit-for-bit to plain Euler flow matching.
 """
 
 from __future__ import annotations
@@ -25,15 +29,8 @@ from .schedule import StageSchedule, initial_selector
 from .transition import TransitionRecord, apply_transition
 
 
-def sag_velocity(
-    field: VelocityField, y: TokenGrid, active: IndexSet, t: float
-) -> TokenGrid:
-    """Full-dimensional velocity from a sparse field evaluation.
-
-    Anchor rows carry the field output bitwise; inactive rows carry the
-    interpolated extension.
-    """
-    block = gather(y, active)
+def _evaluate(field: VelocityField, block: ActiveBlock, active: IndexSet, t: float) -> ActiveBlock:
+    """Field output on an anchor block, checked against the field contract."""
     out = field.evaluate(block, active, t)
     if not isinstance(out, ActiveBlock) or out.m != block.m or out.d != block.d:
         raise FieldContractError(
@@ -42,7 +39,18 @@ def sag_velocity(
         )
     if not np.all(np.isfinite(out.values)):
         raise FieldContractError("field returned non-finite velocities")
-    return lift(out, active, y.shape)
+    return out
+
+
+def sag_velocity(
+    field: VelocityField, y: TokenGrid, active: IndexSet, t: float
+) -> TokenGrid:
+    """Full-dimensional velocity from a sparse field evaluation.
+
+    Anchor rows carry the field output bitwise; inactive rows carry the
+    interpolated extension.
+    """
+    return lift(_evaluate(field, gather(y, active), active, t), active, y.shape)
 
 
 def euler_step(y: TokenGrid, v: TokenGrid, dt: float) -> TokenGrid:
@@ -109,7 +117,7 @@ def run(
     h, w, d = shape
     n = h * w
     counts = schedule.active_counts(n)
-    y = initial_noise(shape, seed)
+    state = initial_noise(shape, seed).data  # (n, d), owned here, stepped in place
     active = initial_selector(h, w, counts[0], seed)
     chain = [active]
     boundaries = set(schedule.transition_steps)
@@ -130,23 +138,35 @@ def run(
             )
             new_count = counts[stage + 1] - counts[stage]
             y, active, rec = apply_transition(
-                y, active, prev_state, prev_velocity, prev_t,
+                TokenGrid(h, w, d, state), active, prev_state, prev_velocity, prev_t,
                 t_i, new_count, noise, i, stage,
             )
+            state = y.data
             transitions.append(rec)
             chain.append(active)
             stage += 1
+        dense = len(active) == n
+        block = ActiveBlock(
+            len(active), d, state.copy() if dense else np.take(state, active.indices, axis=0)
+        )
         try:
-            v = sag_velocity(field, y, active, t_i)
+            out = _evaluate(field, block, active, t_i)
         except EngineError as exc:
             raise type(exc)(f"step {i}: {exc}") from exc
         cost = step_cost(len(active), model)
         steps.append(StepRecord(i, t_i, stage, len(active), cost))
         total += cost
-        prev_state, prev_velocity, prev_t = y, v, t_i
-        y = euler_step(y, v, float(schedule.timesteps[i + 1] - schedule.timesteps[i]))
+        if i + 1 in boundaries:  # the transition reads the full velocity
+            prev_state = TokenGrid(h, w, d, state.copy())
+            prev_velocity = lift(out, active, shape)
+            prev_t = t_i
+        step = out.values * np.float32(schedule.timesteps[i + 1] - schedule.timesteps[i])
+        if dense:
+            state += step
+        else:
+            state[active.indices] += step
         if opts.snapshot_stride and (i + 1) % opts.snapshot_stride == 0:
-            snapshots.append((i + 1, y))
+            snapshots.append((i + 1, TokenGrid(h, w, d, state.copy())))
     validate_chain(chain)  # realized sets, coarsest first, dense last
     baseline = baseline_steps * step_cost(n, model)
     return RunReport(
@@ -155,7 +175,7 @@ def run(
         nfe=schedule.n_steps,
         steps=tuple(steps),
         transitions=tuple(transitions),
-        endpoint=y,
+        endpoint=TokenGrid(h, w, d, state),
         total_cost=total,
         baseline_cost=baseline,
         speedup_vs_baseline=baseline / total,

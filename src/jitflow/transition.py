@@ -47,7 +47,7 @@ def dmf_target(
     Phi is the anchor clean prediction lifted to the full grid, read off at
     the ring positions.
     """
-    if np.intersect1d(ring.indices, anchors.indices).size:
+    if np.intersect1d(ring.indices, anchors.indices, assume_unique=True).size:
         raise NestingError("ring overlaps the anchor set")
     if noise.shape != y_hat.shape:
         raise ParameterError("noise shape does not match state shape")

@@ -157,6 +157,26 @@ def test_bad_config_values_exit_with_one_error_line(tmp_path, capsys, bad):
     assert len(lines) == 1 and lines[0].startswith("error: ConfigError: ")
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (json.dumps(SMALL).encode("utf-8").replace(b"jit4x", b"jit\xff4x"), "not UTF-8"),
+        (b"[" * 100_000, "nested too deeply"),
+        (b'{"seed": ' + b"[" * 100_000, "nested too deeply"),
+    ],
+    ids=["non-utf8", "nested-document", "nested-value"],
+)
+def test_unreadable_config_exits_with_one_error_line(tmp_path, capsys, raw, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(raw)
+    assert main(["sample", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ConfigError: config ")
+    assert message in lines[0]
+
+
 def test_oversized_shape_exits_with_one_budget_error_line(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {**SMALL, "shape": [3000000, 3000000, 4]})
     assert main(["sample", "--config", cfg]) == 1

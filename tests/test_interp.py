@@ -155,6 +155,39 @@ def test_owner_map_more_ties_than_tree_candidates():
     assert got[5 * w + 40] == 0  # token (0, 40), the lowest row-major anchor
 
 
+@pytest.mark.parametrize("h, w", [(1, 4096), (4096, 1)])
+@pytest.mark.parametrize("idx", [[2047], [4095], [10, 4000], [0, 4094]])
+def test_owner_map_long_strips(h, w, idx):
+    # one or two anchors on a 4096-token line; [10, 4000] and [0, 4094] tie
+    # at their midpoints 2005 and 2047
+    active = index_set(4096, idx)
+    got = owner_map(active, h, w)
+    assert np.array_equal(got, brute_owner_map(active.indices, h, w))
+    if len(idx) == 2:
+        assert got[(idx[0] + idx[1]) // 2] == 0
+
+
+@pytest.mark.parametrize("stride", [2, 3, 4, 7])
+@pytest.mark.parametrize("h, w", [(24, 40), (41, 17)])
+def test_owner_map_lattice_ties(h, w, stride):
+    # square and offset lattices: cell centers are equidistant to 2 or 4 anchors
+    square = [r * w + c for r in range(0, h, stride) for c in range(0, w, stride)]
+    shifted = [r * w + c for r in range(1, h, stride)
+               for c in range((r // stride % 2) * (stride // 2), w, stride)]
+    for idx in (square, shifted):
+        active = index_set(h * w, idx)
+        assert np.array_equal(owner_map(active, h, w), brute_owner_map(active.indices, h, w))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 64), st.integers(1, 64), st.data())
+def test_owner_map_very_sparse_sets(h, w, data):
+    n = h * w
+    idx = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 4)))
+    active = index_set(n, sorted(idx))
+    assert np.array_equal(owner_map(active, h, w), brute_owner_map(active.indices, h, w))
+
+
 def test_owner_map_cache_key_includes_grid_shape():
     # the same index bytes on a 3x5 and on a 5x3 grid are different anchor sets
     idx = [1, 7, 13]

@@ -7,7 +7,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jitflow.config import MAX_STATE_VALUES, RunConfig, config_from_dict, config_to_dict
@@ -466,6 +466,84 @@ def test_replay_manifest_shape_errors(tmp_path, doc):
     manifest.write_text(json.dumps(doc), "utf-8")
     with pytest.raises(FormatError):
         load_replay(tmp_path)
+
+
+REPLAY_NAMES = st.sampled_from(
+    ["", ".", "..", "a/b", "/", "x\x00y", "\ud800", "absent.jitg", "manifest.json",
+     "block_0000.jitg", "n" * 300]
+) | st.text(max_size=6)
+# (kind, ...) edits applied in turn to a valid replay directory
+REPLAY_EDITS = st.one_of(
+    st.tuples(st.just("entry"), st.sampled_from(["file", "indices", "t"]),
+              REPLAY_NAMES | JSON_VALUES),
+    st.tuples(st.just("entries"), JSON_VALUES),
+    st.tuples(st.just("doc"), JSON_VALUES),
+    st.tuples(st.just("indices"), st.lists(st.integers(-2, 2**64), max_size=4)),
+    st.tuples(st.just("t"), st.sampled_from([10**400, -(10**400), 1e308, 0.5, True])),
+    st.tuples(st.just("bytes"), st.integers(0, 200), st.binary(min_size=1, max_size=6)),
+    st.tuples(st.just("nest"), st.sampled_from([b"[", b'{"entries": ['])),
+    st.tuples(st.just("path"), st.sampled_from(["manifest.json", "block_0000.jitg"]),
+              st.sampled_from(["delete", "dir", "garbage"])),
+)
+
+
+def _edit_replay(tape, kind, *args):
+    manifest = tape / "manifest.json"
+    if kind == "path":
+        target = tape / args[0]
+        if target.is_dir():
+            target.rmdir()
+        elif target.exists():
+            target.unlink()
+        if args[1] == "dir":
+            target.mkdir()
+        elif args[1] == "garbage":
+            target.write_bytes(b"\xff\xfe not a grid")
+        return
+    if not manifest.is_file():
+        return
+    raw = manifest.read_bytes()
+    if kind == "bytes":
+        manifest.write_bytes(raw[:args[0]] + args[1] + raw[args[0] + len(args[1]):])
+        return
+    if kind == "nest":
+        manifest.write_bytes(args[0] * 100_000)
+        return
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError):
+        return
+    entries = doc.get("entries") if isinstance(doc, dict) else None
+    entry = entries[0] if isinstance(entries, list) and entries else None
+    if kind == "doc":
+        doc = args[0]
+    elif kind == "entries" and isinstance(doc, dict):
+        doc["entries"] = args[0]
+    elif kind != "entries" and isinstance(entry, dict):
+        entry[args[0] if kind == "entry" else kind] = args[-1]
+    manifest.write_text(json.dumps(doc), "utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(REPLAY_EDITS, min_size=1, max_size=3))
+@example([("entry", "file", "")])
+@example([("entry", "file", "..")])
+@example([("path", "manifest.json", "delete")])
+@example([("path", "manifest.json", "dir")])
+@example([("path", "block_0000.jitg", "delete")])
+@example([("bytes", 0, b"\xff")])
+@example([("nest", b"[")])
+@example([("t", 10**400)])
+def test_load_replay_fuzz_only_engine_errors_escape(tmp_path_factory, edits):
+    tape = tmp_path_factory.mktemp("tape")
+    replay_tape(tape)
+    for edit in edits:
+        _edit_replay(tape, *edit)
+    try:
+        field = load_replay(tape)
+    except EngineError:
+        return
+    assert isinstance(field, ReplayField)
 
 
 # ---------------------------------------------------------------------------

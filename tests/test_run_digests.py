@@ -8,7 +8,9 @@ replaced it, so equality here shows the replacement changed no number.  The
 vanilla12 and 128x128 entries were recorded while the selector still drew
 one bounded integer per pick and row gathers used fancy indexing; they pin
 the one-read selector draw and the np.take gathers.  Recorded on x86-64
-with numpy 2.4.
+with numpy 2.4.  All thirteen also pin the switch to sparse steps that
+update anchor rows only, with a lift only before each stage boundary, and
+to the distance-transform owner map.
 """
 
 import hashlib

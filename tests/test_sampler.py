@@ -10,7 +10,8 @@ from jitflow.fields import (
     make_target_image,
     reference_solve,
 )
-from jitflow.grid import ActiveBlock, full_set, gather, index_set
+from jitflow import interp, sampler
+from jitflow.grid import ActiveBlock, complement, full_set, gather, index_set
 from jitflow.sampler import RunOptions, euler_step, run, sag_velocity
 from jitflow.schedule import initial_selector, preset_schedule
 
@@ -201,6 +202,55 @@ def test_run_snapshots():
                  options=RunOptions(snapshot_stride=3))
     assert [i for i, _ in report.snapshots] == [3, 6, 9, 12, 15, 18]
     assert np.array_equal(report.snapshots[-1][1].data, report.endpoint.data)
+
+
+def test_run_snapshots_step_anchor_rows_and_keep_inactive_rows_seated():
+    # every snapshot equals the reduced system: anchor rows integrated alone,
+    # activated rows seated with the transition target, other rows untouched
+    shape = (8, 8, 2)
+    field = bump_field(shape, 0.5)
+    schedule = preset_schedule("jit4x")
+    seed = 3
+    report = run(schedule, field, shape, seed, options=RunOptions(snapshot_stride=1))
+    noise = initial_noise(shape, seed).data
+    state = noise.copy()
+    active = initial_selector(8, 8, schedule.active_counts(64)[0], seed)
+    seated = iter(report.transitions)
+    for k in range(schedule.n_steps):
+        if k in schedule.transition_steps:
+            rec = next(seated)
+            state[rec.activated.indices] = rec.target_values.values
+            active = index_set(64, np.union1d(active.indices, rec.activated.indices))
+        z = ActiveBlock(len(active), 2, state[active.indices])
+        out = field.evaluate(z, active, float(schedule.timesteps[k]))
+        dt = np.float32(float(schedule.timesteps[k + 1] - schedule.timesteps[k]))
+        state[active.indices] = z.values + out.values * dt
+        snap_step, snap = report.snapshots[k]
+        assert snap_step == k + 1
+        assert np.array_equal(snap.data, state)
+        if len(active) < 64:
+            idle = complement(active).indices
+            assert np.array_equal(snap.data[idle], noise[idle])
+    assert np.array_equal(report.snapshots[-1][1].data, report.endpoint.data)
+
+
+def test_run_lifts_only_before_stage_boundaries(monkeypatch):
+    # a jit4x run lifts once per sparse stage, at the step the transition
+    # reads, and builds one owner map per sparse set (dmf_target reuses it)
+    lifted = []
+
+    def counting_lift(block, active, shape):
+        lifted.append(len(active))
+        return interp.lift(block, active, shape)
+
+    monkeypatch.setattr(sampler, "lift", counting_lift)
+    interp._cached_owner_map.cache_clear()
+    shape = (16, 16, 3)
+    report = run(preset_schedule("jit4x"), bump_field(shape, 0.5), shape, seed=11)
+    assert lifted == [90, 159]
+    assert [rec.step_index for rec in report.transitions] == [7, 11]
+    cache = interp._cached_owner_map.cache_info()
+    assert (cache.misses, cache.hits) == (2, 2)
 
 
 def test_run_wraps_field_errors_with_step_index():
