@@ -5,81 +5,24 @@ subset of grid tokens, extends velocities to the full grid by density-
 matched interpolation, and activates new tokens stage by stage guided by
 local velocity variance, with warped timestep schedules and FLOPs-style
 cost accounting.
+
+The package namespace holds what a run and a field author need; every other
+function is imported from its submodule (for example jitflow.grid.gather).
 """
 
 from . import errors
-from .cost import (
-    CalibrationResult,
-    CostModel,
-    CostReport,
-    calibrate_attention_share,
-    normalized_model,
-    schedule_cost,
-    step_cost,
-)
-from .fields import (
-    GaussianFlowField,
-    ReplayField,
-    VelocityField,
-    gaussian_flow_velocity,
-    initial_noise,
-    make_target_image,
-    reference_solve,
-)
-from .grid import (
-    ActiveBlock,
-    IndexSet,
-    TokenGrid,
-    apply_mask,
-    complement,
-    embed,
-    full_set,
-    gather,
-    index_set,
-    ring,
-    validate_chain,
-)
-from .importance import ImportanceMap, importance_map, top_tokens
-from .interp import BlurSpec, blur_params, gaussian_blur, lift, nearest_fill
-from .rng import UniformStream, derive_seed, mix64
-from .sampler import (
-    RunOptions,
-    RunReport,
-    StepRecord,
-    euler_step,
-    run,
-    sag_velocity,
-)
-from .schedule import (
-    PRESETS,
-    StageSchedule,
-    StageSpec,
-    base_selector_indices,
-    beta_timesteps,
-    build_schedule,
-    initial_selector,
-    inv_reg_inc_beta,
-    preset_schedule,
-    reg_inc_beta,
-)
-from .transition import (
-    TransitionRecord,
-    apply_transition,
-    dmf_target,
-    hitting_flow,
-    predict_clean,
-)
+from .cost import CostModel, calibrate_attention_share, normalized_model, schedule_cost
+from .fields import GaussianFlowField, ReplayField, VelocityField, make_target_image, reference_solve
+from .grid import ActiveBlock, IndexSet, TokenGrid
+from .sampler import RunOptions, RunReport, run
+from .schedule import PRESETS, StageSchedule, StageSpec, build_schedule, preset_schedule
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ActiveBlock",
-    "BlurSpec",
-    "CalibrationResult",
     "CostModel",
-    "CostReport",
     "GaussianFlowField",
-    "ImportanceMap",
     "IndexSet",
     "PRESETS",
     "ReplayField",
@@ -87,48 +30,15 @@ __all__ = [
     "RunReport",
     "StageSchedule",
     "StageSpec",
-    "StepRecord",
     "TokenGrid",
-    "TransitionRecord",
-    "UniformStream",
     "VelocityField",
-    "apply_mask",
-    "apply_transition",
-    "base_selector_indices",
-    "beta_timesteps",
-    "blur_params",
     "build_schedule",
     "calibrate_attention_share",
-    "complement",
-    "derive_seed",
-    "dmf_target",
-    "embed",
     "errors",
-    "euler_step",
-    "full_set",
-    "gather",
-    "gaussian_blur",
-    "gaussian_flow_velocity",
-    "hitting_flow",
-    "importance_map",
-    "index_set",
-    "initial_noise",
-    "initial_selector",
-    "inv_reg_inc_beta",
-    "lift",
     "make_target_image",
-    "mix64",
-    "nearest_fill",
     "normalized_model",
-    "predict_clean",
     "preset_schedule",
     "reference_solve",
-    "reg_inc_beta",
-    "ring",
     "run",
-    "sag_velocity",
     "schedule_cost",
-    "step_cost",
-    "top_tokens",
-    "validate_chain",
 ]

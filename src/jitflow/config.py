@@ -8,9 +8,9 @@ default (REQUIRED: the key must be present) and minimum.  "shape",
 "preset", "field.params", "schedule.stages" and "cost" are parsed by hand.
 
 Unknown keys are collected as warnings, not errors.  A missing required
-key or a value of the wrong type or below its minimum raises a ConfigError
-naming the key.  A shape holding more than MAX_STATE_VALUES values raises
-a BudgetError.
+key or a value of the wrong type, not finite or below its minimum raises a
+ConfigError naming the key.  A shape holding more than MAX_STATE_VALUES
+values raises a BudgetError.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ _STRUCTURED = {
     "options": set(),
 }
 _COST_KEYS = {f.name for f in fields(CostModel)}
-_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,9 @@ def _require(doc: dict, key: str):
 def _as(kind, value, key: str):
     """value as a `kind`, or a ConfigError naming the key.
 
-    Integers must be whole numbers (7.0 gives 7), numbers may not be
-    booleans, flags must be booleans and strings must be strings.
+    Integers must be whole numbers (7.0 gives 7), numbers must be finite
+    and may not be booleans, flags must be booleans and strings must be
+    strings.
     """
     if kind is bool or kind is str:
         ok = isinstance(value, kind)
@@ -118,9 +119,11 @@ def _as(kind, value, key: str):
               and (kind is float or isinstance(value, int) or value.is_integer()))
     if ok:
         try:
-            return kind(value)
+            out = kind(value)
         except OverflowError:  # an integer too large for a float
-            pass
+            out = math.inf
+        if kind is not float or math.isfinite(out):
+            return out
     raise ConfigError(f"config key {key} must be {_TYPE_NAMES[kind]}, got {value!r}")
 
 

@@ -29,10 +29,6 @@ class ScheduleError(EngineError):
     """Stage specs or realized counts violate a schedule constraint."""
 
 
-class NumericalError(EngineError):
-    """An iterative routine failed to converge or produced non-finite values."""
-
-
 class FieldContractError(EngineError):
     """A velocity-field implementation returned an ill-shaped or invalid block."""
 

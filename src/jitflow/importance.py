@@ -2,9 +2,10 @@
 
 A token matters where the velocity field is locally busy: the importance
 score is the per-channel variance of the velocity inside a small square
-window (mean of squares minus square of means, computable with two box
-filters), averaged over channels.  Newly activated tokens at a stage
-transition are the highest-scoring inactive candidates.
+window (mean of squares minus square of means, from two box means by
+scipy.ndimage.uniform_filter with edge-replicating padding), averaged over
+channels.  Newly activated tokens at a stage transition are the
+highest-scoring inactive candidates.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 
 from .errors import BudgetError, ParameterError
 from .grid import IndexSet, TokenGrid
-from .interp import _convolve_axis
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,8 @@ def importance_map(velocity: TokenGrid, window: int = 3) -> ImportanceMap:
     """
     if window < 3 or window % 2 == 0:
         raise ParameterError(f"window must be odd and >= 3, got {window}")
-    box = np.full(window, 1.0 / window, dtype=np.float64)
+    from scipy.ndimage import uniform_filter
+
     u = velocity.spatial().astype(np.float64)
     # variance is shift-invariant; anchoring each channel at its minimum
     # keeps the two-filter form well conditioned, makes constant fields
@@ -49,7 +50,7 @@ def importance_map(velocity: TokenGrid, window: int = 3) -> ImportanceMap:
     u = u - u.min(axis=(0, 1), keepdims=True)
 
     def box_mean(a: np.ndarray) -> np.ndarray:
-        return _convolve_axis(_convolve_axis(a, box, axis=0), box, axis=1)
+        return uniform_filter(a, size=(window, window, 1), mode="nearest")
 
     var = box_mean(u * u) - box_mean(u) ** 2
     scores = np.maximum(var.mean(axis=2), 0.0)

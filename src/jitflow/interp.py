@@ -24,10 +24,11 @@ memoized per (h, w, indices) in a small LRU cache: a staged run builds one
 map per distinct active set, and the lift at a stage boundary reuses the
 map of the stage it closes.
 
-The blur scale tracks anchor density: with ratio rho = m / N the mean
-anchor spacing is L = rho^(-1/2) tokens, sigma = 0.4 L, and the kernel
-length is max(3, 2*floor(1.5*sigma) + 1) so it stays odd and roughly spans
-3 sigma.
+The blur is scipy.ndimage.gaussian_filter over the two grid axes with
+edge-replicating ("nearest") padding.  Its scale tracks anchor density:
+with ratio rho = m / N the mean anchor spacing is L = rho^(-1/2) tokens,
+sigma = 0.4 L, and the kernel length is max(3, 2*floor(1.5*sigma) + 1) so
+it stays odd and roughly spans 3 sigma.
 """
 
 from __future__ import annotations
@@ -66,26 +67,6 @@ def blur_params(m: int, n: int) -> BlurSpec:
     sigma = 0.4 / math.sqrt(rho)
     kernel_size = max(3, 2 * math.floor(1.5 * sigma) + 1)
     return BlurSpec(sigma, kernel_size)
-
-
-def _gaussian_kernel(spec: BlurSpec) -> np.ndarray:
-    offsets = np.arange(spec.kernel_size, dtype=np.float64) - spec.kernel_size // 2
-    k = np.exp(-0.5 * (offsets / spec.sigma) ** 2)
-    return k / k.sum()
-
-
-def _convolve_axis(arr: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
-    """1-D convolution along one axis with replicate (edge-clamp) padding."""
-    r = len(kernel) // 2
-    pad = [(0, 0)] * arr.ndim
-    pad[axis] = (r, r)
-    padded = np.pad(arr, pad, mode="edge")
-    out = np.zeros(arr.shape, dtype=np.float64)
-    index = [slice(None)] * arr.ndim
-    for j, weight in enumerate(kernel):
-        index[axis] = slice(j, j + arr.shape[axis])
-        out += weight * padded[tuple(index)]
-    return out
 
 
 def owner_map(active: IndexSet, h: int, w: int) -> np.ndarray:
@@ -159,10 +140,11 @@ def nearest_fill(block: ActiveBlock, active: IndexSet, shape: tuple[int, int, in
 
 def gaussian_blur(grid: TokenGrid, spec: BlurSpec) -> TokenGrid:
     """Per-channel separable Gaussian blur with replicate padding."""
-    kernel = _gaussian_kernel(spec)
-    arr = grid.spatial().astype(np.float64)
-    arr = _convolve_axis(arr, kernel, axis=0)
-    arr = _convolve_axis(arr, kernel, axis=1)
+    from scipy.ndimage import gaussian_filter
+
+    r = spec.kernel_size // 2
+    arr = gaussian_filter(grid.spatial().astype(np.float64), (spec.sigma, spec.sigma, 0.0),
+                          mode="nearest", radius=(r, r, 0))
     return grid.with_data(arr.astype(np.float32))
 
 

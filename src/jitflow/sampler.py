@@ -20,9 +20,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .cost import CostModel, step_cost
-from .errors import EngineError, FieldContractError, ParameterError
+from .errors import EngineError, FieldContractError
 from .fields import VelocityField, initial_noise
-from .grid import ActiveBlock, IndexSet, TokenGrid, gather, validate_chain
+from .grid import ActiveBlock, IndexSet, TokenGrid, validate_chain
 from .interp import lift
 from .rng import UniformStream, derive_seed
 from .schedule import StageSchedule, initial_selector
@@ -40,26 +40,6 @@ def _evaluate(field: VelocityField, block: ActiveBlock, active: IndexSet, t: flo
     if not np.all(np.isfinite(out.values)):
         raise FieldContractError("field returned non-finite velocities")
     return out
-
-
-def sag_velocity(
-    field: VelocityField, y: TokenGrid, active: IndexSet, t: float
-) -> TokenGrid:
-    """Full-dimensional velocity from a sparse field evaluation.
-
-    Anchor rows carry the field output bitwise; inactive rows carry the
-    interpolated extension.
-    """
-    return lift(_evaluate(field, gather(y, active), active, t), active, y.shape)
-
-
-def euler_step(y: TokenGrid, v: TokenGrid, dt: float) -> TokenGrid:
-    """Explicit Euler update y + v * dt."""
-    if dt <= 0.0:
-        raise ParameterError(f"dt must be > 0, got {dt}")
-    if v.shape != y.shape:
-        raise ParameterError(f"velocity shape {v.shape} != state shape {y.shape}")
-    return y.with_data(y.data + v.data * np.float32(dt))
 
 
 @dataclass(frozen=True)

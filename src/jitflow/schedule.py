@@ -5,9 +5,9 @@ count and an active-token fraction; the final stage is always dense.  Solver
 timesteps are the Beta(alpha, beta) quantiles of a uniform grid, so the
 step spacing can be skewed toward either end of the trajectory.
 
-The incomplete-beta routines are self-contained (continued fraction plus a
-safeguarded Newton inverse); tests check them against an independent
-adaptive-quadrature oracle.
+The quantiles come from scipy.special.betaincinv, imported on first use so
+that uniform schedules never load scipy; tests check them against an
+independent adaptive-quadrature oracle.
 """
 
 from __future__ import annotations
@@ -17,124 +17,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, NumericalError, ParameterError, ScheduleError
+from .errors import BudgetError, ParameterError, ScheduleError
 from .grid import IndexSet
 from .rng import UniformStream, derive_seed
 
 # ---------------------------------------------------------------------------
-# regularized incomplete beta and its inverse
-
-
-def _beta_cf(x: float, a: float, b: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 300):
-        m2 = 2 * m
-        # even step
-        num = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + num * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + num / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        # odd step
-        num = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + num * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + num / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            return h
-    raise NumericalError(f"incomplete beta continued fraction stalled at x={x}")
-
-
-def reg_inc_beta(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta I_x(a, b), the Beta CDF at x."""
-    if a <= 0 or b <= 0:
-        raise ParameterError(f"shape parameters must be positive, got a={a}, b={b}")
-    if not 0.0 <= x <= 1.0:
-        raise ParameterError(f"x must lie in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    # the continued fraction converges fast only below the distribution bulk
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cf(x, a, b) / a
-    return 1.0 - front * _beta_cf(1.0 - x, b, a) / b
-
-
-def _beta_pdf(x: float, a: float, b: float) -> float:
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    ln = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x)
-    )
-    return math.exp(min(ln, 700.0))
-
-
-def inv_reg_inc_beta(s: float, a: float, b: float) -> float:
-    """Quantile x with I_x(a, b) = s, via bracketed Newton iteration."""
-    if not 0.0 <= s <= 1.0:
-        raise ParameterError(f"s must lie in [0, 1], got {s}")
-    if s == 0.0:
-        return 0.0
-    if s == 1.0:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    x = min(max(s, 1e-12), 1.0 - 1e-12)
-    for _ in range(200):
-        f = reg_inc_beta(x, a, b) - s
-        if abs(f) < 1e-13:
-            return x
-        if f > 0.0:
-            hi = x
-        else:
-            lo = x
-        slope = _beta_pdf(x, a, b)
-        x_new = x - f / slope if slope > 0.0 else -1.0
-        x = x_new if lo < x_new < hi else 0.5 * (lo + hi)
-        # a one-ulp bracket cannot shrink further; absolute width tests fail near 1
-        if hi - lo <= math.ulp(hi):
-            return x
-    raise NumericalError(f"beta quantile iteration failed for s={s}, a={a}, b={b}")
+# warped timesteps
 
 
 def beta_timesteps(n_steps: int, a: float, b: float) -> np.ndarray:
     """Timesteps t_i = BetaInv(i / n_steps; a, b), i = 0..n_steps."""
     if n_steps < 1:
         raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
-    if a <= 0 or b <= 0:
-        raise ParameterError(f"shape parameters must be positive, got a={a}, b={b}")
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise ParameterError(f"shape parameters must be positive and finite, got a={a}, b={b}")
     if a == 1.0 and b == 1.0:
         return np.linspace(0.0, 1.0, n_steps + 1)  # uniform case is exact
-    t = np.empty(n_steps + 1, dtype=np.float64)
-    t[0] = 0.0
-    t[n_steps] = 1.0
-    for i in range(1, n_steps):
-        t[i] = inv_reg_inc_beta(i / n_steps, a, b)
-    return t
+    from scipy.special import betaincinv
+
+    return np.concatenate(([0.0], betaincinv(a, b, np.arange(1, n_steps) / n_steps), [1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +90,9 @@ class StageSchedule:
             raise ScheduleError(
                 f"{len(t)} timesteps for {total} solver steps (need {total + 1})"
             )
-        if t[0] < 0.0 or t[-1] > 1.0 or np.any(np.diff(t) <= 0.0):
-            raise ScheduleError("timesteps must be strictly increasing within [0, 1]")
+        if not (np.all(np.isfinite(t)) and t[0] >= 0.0 and t[-1] <= 1.0
+                and np.all(np.diff(t) > 0.0)):
+            raise ScheduleError("timesteps must be finite and strictly increasing within [0, 1]")
         bounds = tuple(np.cumsum([s.steps for s in self.stages])[:-1].tolist())
         if self.transition_steps != bounds:
             raise ScheduleError(

@@ -44,6 +44,13 @@ def scalar_choose(stream, items: np.ndarray, k: int) -> np.ndarray:
     return np.sort(pool[:k])
 
 
+def gaussian_kernel(sigma: float, size: int) -> np.ndarray:
+    """Normalized Gaussian taps at integer offsets -size//2 .. size//2."""
+    offsets = np.arange(size, dtype=np.float64) - size // 2
+    k = np.exp(-0.5 * (offsets / sigma) ** 2)
+    return k / k.sum()
+
+
 def dense_conv2d_replicate(arr: np.ndarray, kernel1d: np.ndarray) -> np.ndarray:
     """Full 2-D convolution with the separable kernel's outer product.
 

@@ -145,6 +145,8 @@ def test_error_paths_exit_nonzero(tmp_path, capsys):
         {"options": {"invert_time": "false"}},
         {"baseline_steps": 0},
         {"options": {"snapshot_stride": -1}},
+        {"cost": {"c_attn": float("nan")}},
+        {"cost": {"c_lin": float("inf")}},
     ],
 )
 def test_bad_config_values_exit_with_one_error_line(tmp_path, capsys, bad):
@@ -199,3 +201,14 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1] == "0,7,1.0"
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported inside the functions that use it, so a run that needs
+    # none of them (a dense uniform schedule) never pays for loading it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import jitflow, sys; assert not any(m.startswith('scipy') for m in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

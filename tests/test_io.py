@@ -279,6 +279,11 @@ def test_config_rejects_malformed_json(tmp_path):
         ("shape", [8, 8, True], "shape"),
         ("options", {"invert_time": "false"}, "options.invert_time"),
         ("field", {"kind": "gaussian-bump", "sigma1": True}, "field.sigma1"),
+        # JSON NaN and Infinity parse as floats; a report would echo them as invalid JSON
+        ("cost", {"c_attn": float("nan")}, "cost.c_attn"),
+        ("cost", {"c_lin": float("inf")}, "cost.c_lin"),
+        ("field", {"kind": "gaussian-bump", "sigma1": -float("inf")}, "field.sigma1"),
+        ("cost", {"c_fix": 10**400}, "cost.c_fix"),
     ],
 )
 def test_config_type_errors_are_config_errors(key, value, named):

@@ -10,7 +10,14 @@ one bounded integer per pick and row gathers used fancy indexing; they pin
 the one-read selector draw and the np.take gathers.  Recorded on x86-64
 with numpy 2.4.  All thirteen also pin the switch to sparse steps that
 update anchor rows only, with a lift only before each stage boundary, and
-to the distance-transform owner map.
+to the distance-transform owner map.  The eleven staged digests were
+re-recorded once when scipy took over the beta quantiles (betaincinv), the
+blur (gaussian_filter) and the importance box means (uniform_filter): in
+all thirteen runs the endpoint bytes and every transition's activated set
+were first checked equal to those of the hand-rolled code, and only
+steps[].t (by at most 2.0e-14) and the transition importance statistics
+(by at most 6e-13 relative) moved.  The two vanilla12 digests did not
+change.
 """
 
 import hashlib
@@ -23,19 +30,19 @@ from jitflow.sampler import run
 from jitflow.schedule import preset_schedule
 
 DIGESTS = {
-    ("jit4x", 64, 0): "f96619c4e9c833c50119be00e68f09c60be6050b394d28d2418e613f171fcfc5",
-    ("jit4x", 64, 1): "93e135fa4fe82555220d6e8c6e455c79cabd1893aeb8841b7ca9dcf16fecded8",
-    ("jit4x", 64, 101): "4b892b6b8e6bc0d09d5e3f3a48771876df0d9d5bdedc708e6d2d0d663f448d49",
-    ("jit4x", 64, 12345): "cc625b20fbbfddda47572b47715c34fdd5fe90fc093cf033b7852259021861e4",
-    ("jit7x", 32, 0): "199faf1e489b6e300a0e7cc3dcceaae7847b40b8eea22fdf6d9f51b72f66cb7c",
-    ("jit7x", 32, 1): "1629edc54defe57357a548c9ecbd17142e36d59400505c3145bb1d792c30126a",
-    ("jit7x", 32, 101): "4efb59152820974cdbf91feffa42667d93b45454c927d86cedca37f1a5c7ef24",
-    ("jit7x", 32, 12345): "d51086a117e29ba5a2595ce7bcd249d6084a9679da04f71eb0517311354a3910",
-    ("jit4x", 48, 0): "10db7a3a15400996884bcaf113bc4e463b8a25f28a3e63d485e81f0a9d795090",
-    ("jit4x", 48, 12345): "14c8ab9c3b955a813e14a907cb86fc5edac4498105cd6f27d1e906e788d241c3",
+    ("jit4x", 64, 0): "0277d3895f560566d676902b4e40013f09268b18dcf4087302b4ea70c01a74ac",
+    ("jit4x", 64, 1): "6c048b2f9934c55d69ced76894576c9071f4dd2b591427a01d45480268d45940",
+    ("jit4x", 64, 101): "15343ee63148421569b2b7da2351102cda17767ad0eb3918d6316a666638bdac",
+    ("jit4x", 64, 12345): "a81eb1df5b7ba0fce387b99b767c61000089c92be345a914139574e4ed264649",
+    ("jit7x", 32, 0): "c290811e6a5e9b7d024ad4b42de8f6e7a38fd6686c7ef97e10dc5dadfced3f09",
+    ("jit7x", 32, 1): "df74ad4f6eb24710353db8396600ede828650fc47f951dc1999fa88b6bb2d273",
+    ("jit7x", 32, 101): "27e1817de63145858b58ed53d34e1cff57ea1002cb473bf84967aceeef49ec25",
+    ("jit7x", 32, 12345): "137a51fde5945d2ef79d738f2d6f6d657382bad3d7eb1367baffac699dfabbae",
+    ("jit4x", 48, 0): "e14d1568d38d84319a4def89f904385e30cdb0d5ffa4538a208f7dfb109d759e",
+    ("jit4x", 48, 12345): "1439d5551b8ee9149941d0ccd73f2305852d8f08fd22d02bee91b773427f7edf",
     ("vanilla12", 32, 0): "284b1f46776112ab99f891bc4843adea61c830d9cac4c2ec4a153a330a594a0d",
     ("vanilla12", 32, 101): "1993d0a272fef985893fae2805e449dfe64be314c86da0ae95114cfbdda5f03c",
-    ("jit4x", 128, 0): "387c5fe77bf8bc2786f36f185fc9c93f55c0181b8b882198395d5c13729debf5",
+    ("jit4x", 128, 0): "b6c9c18645a88f4ced3a8c1c9f698988e86b3f2039039312c84623087af29170",
 }
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from jitflow.errors import FieldContractError, ParameterError
+from jitflow.errors import FieldContractError
 from jitflow.fields import (
     GaussianFlowField,
     initial_noise,
@@ -11,8 +11,8 @@ from jitflow.fields import (
     reference_solve,
 )
 from jitflow import interp, sampler
-from jitflow.grid import ActiveBlock, complement, full_set, gather, index_set
-from jitflow.sampler import RunOptions, euler_step, run, sag_velocity
+from jitflow.grid import ActiveBlock, complement, gather, index_set
+from jitflow.sampler import RunOptions, run
 from jitflow.schedule import initial_selector, preset_schedule
 
 
@@ -55,55 +55,6 @@ class BrokenField:
 
 def bump_field(shape, sigma1):
     return GaussianFlowField(make_target_image("gaussian-bump", shape), sigma1)
-
-
-# ---------------------------------------------------------------------------
-# sag_velocity and euler_step
-
-
-def test_sag_velocity_exact_on_anchors():
-    shape = (6, 6, 2)
-    field = bump_field(shape, 0.7)
-    y = initial_noise(shape, seed=5)
-    active = index_set(36, [0, 3, 9, 17, 22, 35])
-    v = sag_velocity(field, y, active, 0.4)
-    direct = field.evaluate(gather(y, active), active, 0.4)
-    assert np.array_equal(v.data[active.indices], direct.values)
-    assert v.shape == y.shape
-
-
-def test_sag_velocity_dense_equals_field():
-    shape = (4, 5, 3)
-    field = bump_field(shape, 0.7)
-    y = initial_noise(shape, seed=6)
-    everything = full_set(20)
-    v = sag_velocity(field, y, everything, 0.25)
-    direct = field.evaluate(gather(y, everything), everything, 0.25)
-    assert np.array_equal(v.data, direct.values)
-
-
-def test_sag_velocity_field_contract():
-    shape = (4, 4, 1)
-    inner = bump_field(shape, 0.7)
-    y = initial_noise(shape, seed=1)
-    active = index_set(16, [0, 5, 10, 15])
-    for mode in ("shape", "nan", "type"):
-        field = BrokenField(inner, fail_at=0, mode=mode)
-        with pytest.raises(FieldContractError):
-            sag_velocity(field, y, active, 0.5)
-
-
-def test_euler_step_exact_binary_fractions():
-    y = initial_noise((2, 2, 1), seed=0)
-    v = y.with_data(np.full((4, 1), 2.0, dtype=np.float32))
-    out = euler_step(y, v, 0.25)
-    assert np.array_equal(out.data, y.data + np.float32(0.5))
-    with pytest.raises(ParameterError):
-        euler_step(y, v, 0.0)
-    with pytest.raises(ParameterError):
-        euler_step(y, v, -0.1)
-    with pytest.raises(ParameterError):
-        euler_step(y, initial_noise((2, 2, 2), seed=0), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +204,26 @@ def test_run_lifts_only_before_stage_boundaries(monkeypatch):
     assert (cache.misses, cache.hits) == (2, 2)
 
 
+def test_sag_velocity_field_contract():
+    # The sparse field evaluation of the first step refuses a block of the
+    # wrong shape, a non-finite block and a non-block return value.
+    shape = (8, 8, 2)
+    inner = bump_field(shape, 0.7)
+    schedule = preset_schedule("jit4x")
+    assert schedule.stages[0].sparsity < 1.0
+    for mode in ("shape", "nan", "type"):
+        field = BrokenField(inner, fail_at=0, mode=mode)
+        with pytest.raises(FieldContractError, match="step 0:"):
+            run(schedule, field, shape, seed=1)
+
+
 def test_run_wraps_field_errors_with_step_index():
     shape = (8, 8, 2)
     inner = bump_field(shape, 0.5)
-    field = BrokenField(inner, fail_at=9, mode="nan")
-    with pytest.raises(FieldContractError, match="step 9:"):
-        run(preset_schedule("jit4x"), field, shape, seed=3)
+    for mode in ("shape", "nan", "type"):
+        field = BrokenField(inner, fail_at=9, mode=mode)
+        with pytest.raises(FieldContractError, match="step 9:"):
+            run(preset_schedule("jit4x"), field, shape, seed=3)
 
 
 def test_run_baseline_steps_parameter():
