@@ -9,7 +9,6 @@ makes endpoint error attributable entirely to the sparse approximation.
 
 from __future__ import annotations
 
-import math
 from typing import Protocol, runtime_checkable
 
 import numpy as np

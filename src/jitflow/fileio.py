@@ -23,7 +23,7 @@ import numpy as np
 from .config import RunConfig, config_from_dict, config_to_dict
 from .errors import ConfigError, EngineError, FormatError
 from .fields import ReplayField
-from .grid import IndexSet, TokenGrid
+from .grid import TokenGrid
 from .importance import ImportanceMap
 from .sampler import RunReport
 

@@ -1,8 +1,8 @@
 """Importance-guided token activation.
 
 A token matters where the velocity field is locally busy: the importance
-score is the per-channel variance of the velocity inside a small square
-window (mean of squares minus square of means, from two box means by
+score is the per-channel variance of the velocity inside a WINDOW x WINDOW
+square (mean of squares minus square of means, from two box means by
 scipy.ndimage.uniform_filter with edge-replicating padding), averaged over
 channels.  Newly activated tokens at a stage transition are the
 highest-scoring inactive candidates.
@@ -16,6 +16,8 @@ import numpy as np
 
 from .errors import BudgetError, ParameterError
 from .grid import IndexSet, TokenGrid
+
+WINDOW = 3  # side of the square importance window, in tokens
 
 
 @dataclass(frozen=True)
@@ -33,14 +35,12 @@ class ImportanceMap:
         object.__setattr__(self, "scores", np.maximum(arr, 0.0))
 
 
-def importance_map(velocity: TokenGrid, window: int = 3) -> ImportanceMap:
+def importance_map(velocity: TokenGrid) -> ImportanceMap:
     """Windowed velocity variance per token, averaged over channels.
 
-    Box window of odd size with replicate padding; negatives from float
-    cancellation clamp to zero.
+    Box window with replicate padding; negatives from float cancellation
+    clamp to zero.
     """
-    if window < 3 or window % 2 == 0:
-        raise ParameterError(f"window must be odd and >= 3, got {window}")
     from scipy.ndimage import uniform_filter
 
     u = velocity.spatial().astype(np.float64)
@@ -50,7 +50,7 @@ def importance_map(velocity: TokenGrid, window: int = 3) -> ImportanceMap:
     u = u - u.min(axis=(0, 1), keepdims=True)
 
     def box_mean(a: np.ndarray) -> np.ndarray:
-        return uniform_filter(a, size=(window, window, 1), mode="nearest")
+        return uniform_filter(a, size=(WINDOW, WINDOW, 1), mode="nearest")
 
     var = box_mean(u * u) - box_mean(u) ** 2
     scores = np.maximum(var.mean(axis=2), 0.0)

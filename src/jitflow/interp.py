@@ -1,8 +1,9 @@
 """Unified interpolation from sparse anchors to the full grid.
 
-One operator serves two roles in the engine: extrapolating velocities of
-inactive tokens (the lifter) and building the structural prior for newly
-activated tokens at a stage transition.  The pipeline is
+One operator serves two roles in the engine, both at a stage transition:
+extrapolating the velocity of the step that closes a stage to the inactive
+tokens (the lifter), and building the structural prior for the newly
+activated tokens.  Both lift a sparse anchor set.  The pipeline is
 
     1. nearest-neighbor fill from the anchors,
     2. a density-matched separable Gaussian blur,
@@ -21,8 +22,8 @@ d2 from a table of the non-negative quadrant (at most h * w entries, sorted
 by length) under the four sign flips, and keeps the lowest anchor index
 found.  The map depends only on the grid size and the active set, so it is
 memoized per (h, w, indices) in a small LRU cache: a staged run builds one
-map per distinct active set, and the lift at a stage boundary reuses the
-map of the stage it closes.
+map per sparse stage, and the prediction lift in dmf_target reuses the map
+of the velocity lift before it.
 
 The blur is scipy.ndimage.gaussian_filter over the two grid axes with
 edge-replicating ("nearest") padding.  Its scale tracks anchor density:
@@ -153,14 +154,12 @@ def lift(block: ActiveBlock, active: IndexSet, shape: tuple[int, int, int]) -> T
 
     Composition M * Z_nn + (1 - M) * Z_blur, where M marks anchors.  The
     anchor rows are written by direct scatter of the block values, so
-    gather(lift(b, set), set) == b holds bitwise.
+    gather(lift(b, set), set) == b holds bitwise; for the full set the
+    result is the block itself.  The engine lifts only sparse sets: the
+    velocity of the step that closes a stage, and the anchors' clean
+    prediction in dmf_target.
     """
     h, w, d = shape
-    if len(active) == active.n_total:
-        # full set (necessarily arange(n)): composition keeps every
-        # nearest-fill value, which is the identity; skip the blur and the
-        # scatter (bitwise-equal, verified in tests)
-        return TokenGrid(h, w, d, block.values.copy())
     z_nn = nearest_fill(block, active, shape)
     z_blur = gaussian_blur(z_nn, blur_params(len(active), h * w))
     out = z_blur.data.copy()

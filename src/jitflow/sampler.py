@@ -5,12 +5,14 @@ tokens and takes an explicit Euler step on those rows alone, so a sparse
 step costs O(m) work.  Inactive rows keep the value they were last seated
 with: every token is activated before the final, dense stage, and
 activation overwrites its state with the micro-flow target, so nothing
-downstream reads an inactive row.  Only the step just before a stage
-boundary lifts its velocity to the full grid (exact on anchors,
-interpolated elsewhere), because the transition reads it there: importance
-scores of the lifted velocity pick the new tokens, and the micro-flow
-target seats their state.  A single-stage dense schedule reduces
-bit-for-bit to plain Euler flow matching.
+downstream reads an inactive row.  The step that closes a stage lifts its
+velocity to the full grid (exact on anchors, interpolated elsewhere) and
+makes the transition from its own state, before its Euler update:
+importance scores of the lifted velocity pick the new tokens, and the
+micro-flow target at the boundary time is built for them.  The first step
+of the next stage seats those targets and widens the active set.  A
+single-stage dense schedule reduces bit-for-bit to plain Euler flow
+matching.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from .cost import CostModel, step_cost
 from .errors import EngineError, FieldContractError
 from .fields import VelocityField, initial_noise
-from .grid import ActiveBlock, IndexSet, TokenGrid, validate_chain
+from .grid import ActiveBlock, IndexSet, TokenGrid, index_set, validate_chain
 from .interp import lift
 from .rng import UniformStream, derive_seed
 from .schedule import StageSchedule, initial_selector
@@ -102,9 +104,6 @@ def run(
     chain = [active]
     boundaries = set(schedule.transition_steps)
     stage = 0
-    prev_state: TokenGrid | None = None
-    prev_velocity: TokenGrid | None = None
-    prev_t = 0.0
     shared = _transition_noise(shape, seed, 0) if opts.shared_noise else None
     steps: list[StepRecord] = []
     transitions: list[TransitionRecord] = []
@@ -112,17 +111,10 @@ def run(
     total = 0.0
     for i in range(schedule.n_steps):
         t_i = float(schedule.timesteps[i])
-        if i in boundaries:
-            noise = shared if shared is not None else _transition_noise(
-                shape, seed, len(transitions)
-            )
-            new_count = counts[stage + 1] - counts[stage]
-            y, active, rec = apply_transition(
-                TokenGrid(h, w, d, state), active, prev_state, prev_velocity, prev_t,
-                t_i, new_count, noise, i, stage,
-            )
-            state = y.data
-            transitions.append(rec)
+        if i in boundaries:  # seat the targets the closing step built
+            ring = transitions[-1].activated
+            state[ring.indices] = transitions[-1].target_values.values
+            active = index_set(n, np.concatenate([active.indices, ring.indices]))
             chain.append(active)
             stage += 1
         dense = len(active) == n
@@ -136,10 +128,15 @@ def run(
         cost = step_cost(len(active), model)
         steps.append(StepRecord(i, t_i, stage, len(active), cost))
         total += cost
-        if i + 1 in boundaries:  # the transition reads the full velocity
-            prev_state = TokenGrid(h, w, d, state.copy())
-            prev_velocity = lift(out, active, shape)
-            prev_t = t_i
+        if i + 1 in boundaries:  # this step closes its stage
+            noise = shared if shared is not None else _transition_noise(
+                shape, seed, len(transitions)
+            )
+            transitions.append(apply_transition(
+                TokenGrid(h, w, d, state), active, lift(out, active, shape), t_i,
+                float(schedule.timesteps[i + 1]), counts[stage + 1] - counts[stage],
+                noise, i + 1, stage,
+            ))
         step = out.values * np.float32(schedule.timesteps[i + 1] - schedule.timesteps[i])
         if dense:
             state += step

@@ -35,7 +35,12 @@ def beta_timesteps(n_steps: int, a: float, b: float) -> np.ndarray:
         return np.linspace(0.0, 1.0, n_steps + 1)  # uniform case is exact
     from scipy.special import betaincinv
 
-    return np.concatenate(([0.0], betaincinv(a, b, np.arange(1, n_steps) / n_steps), [1.0]))
+    t = np.concatenate(([0.0], betaincinv(a, b, np.arange(1, n_steps) / n_steps), [1.0]))
+    if not np.all(np.diff(t) > 0.0):
+        raise ParameterError(
+            f"alpha={a}, beta={b} collapse the Beta warp: its {n_steps}-step quantiles repeat"
+        )
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -58,16 +63,10 @@ class StageSpec:
 
 @dataclass(frozen=True)
 class StageSchedule:
-    """Stages (coarse to fine), warped timesteps, and transition boundaries.
-
-    transition_steps[p] is the solver-step index at which stage p hands over
-    to stage p+1; the transition happens before the velocity evaluation of
-    that step.
-    """
+    """Stages (coarse to fine) and warped timesteps."""
 
     stages: tuple[StageSpec, ...]
     timesteps: np.ndarray  # (n_steps + 1,) float64, strictly increasing
-    transition_steps: tuple[int, ...]
     alpha: float
     beta: float
     invert_time: bool = False
@@ -79,7 +78,6 @@ class StageSchedule:
         t = np.asarray(self.timesteps, dtype=np.float64)
         object.__setattr__(self, "timesteps", t)
         object.__setattr__(self, "stages", tuple(self.stages))
-        object.__setattr__(self, "transition_steps", tuple(self.transition_steps))
         spars = [s.sparsity for s in self.stages]
         if spars[-1] != 1.0:
             raise ScheduleError(f"final stage sparsity must be 1.0, got {spars[-1]}")
@@ -93,13 +91,11 @@ class StageSchedule:
         if not (np.all(np.isfinite(t)) and t[0] >= 0.0 and t[-1] <= 1.0
                 and np.all(np.diff(t) > 0.0)):
             raise ScheduleError("timesteps must be finite and strictly increasing within [0, 1]")
-        bounds = tuple(np.cumsum([s.steps for s in self.stages])[:-1].tolist())
-        if self.transition_steps != bounds:
-            raise ScheduleError(
-                f"transition steps {self.transition_steps} != stage boundaries {bounds}"
-            )
-        if any(i < 1 for i in self.transition_steps):
-            raise ScheduleError("no transition may occur at the first step")
+
+    @property
+    def transition_steps(self) -> tuple[int, ...]:
+        """First step of each stage after the first: where it seats its new tokens."""
+        return tuple(np.cumsum([s.steps for s in self.stages])[:-1].tolist())
 
     @property
     def n_steps(self) -> int:
@@ -138,15 +134,14 @@ def build_schedule(
     invert_time: bool = False,
     name: str = "custom",
 ) -> StageSchedule:
-    """Assemble a schedule: warped timesteps plus stage boundary indices."""
+    """Assemble a schedule: stages plus warped timesteps."""
     total = sum(s.steps for s in specs)
     if total != n_steps:
         raise ScheduleError(f"stage steps sum to {total}, expected n_steps={n_steps}")
     t = beta_timesteps(n_steps, alpha, beta)
     if invert_time:
         t = 1.0 - t[::-1]
-    bounds = tuple(np.cumsum([s.steps for s in specs])[:-1].tolist())
-    return StageSchedule(tuple(specs), t, bounds, alpha, beta, invert_time, name)
+    return StageSchedule(tuple(specs), t, alpha, beta, invert_time, name)
 
 
 PRESETS: dict[str, dict] = {

@@ -12,6 +12,8 @@ marginal of the linear noise-to-data path at time T.  A finite-time hitting
 flow z' = (y* - z) / (T - t) would carry old values onto the target over a
 short window; its closed form reaches y* exactly at t = T, so the engine
 assigns the target directly and the flow exists as a tested equivalence.
+apply_transition only builds the record (new tokens, targets, importance
+map); the sampling loop seats the targets at the boundary step.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NestingError, ParameterError
-from .grid import ActiveBlock, IndexSet, TokenGrid, complement, gather, index_set
+from .grid import ActiveBlock, IndexSet, TokenGrid, complement, gather
 from .importance import ImportanceMap, importance_map, top_tokens
 from .interp import lift
 
@@ -82,7 +84,7 @@ def hitting_flow(z0, target, t_boundary: float, delta: float, t: float):
 class TransitionRecord:
     """What one stage transition did, for reports and tests."""
 
-    step_index: int
+    step_index: int  # the solver step that seats the targets
     stage_from: int
     stage_to: int
     activated: IndexSet
@@ -93,32 +95,24 @@ class TransitionRecord:
 def apply_transition(
     state: TokenGrid,
     active: IndexSet,
-    prev_state: TokenGrid,
-    prev_velocity: TokenGrid,
-    prev_t: float,
+    velocity: TokenGrid,
+    t: float,
     t_boundary: float,
     new_count: int,
     noise: TokenGrid,
     step_index: int,
     stage_from: int,
-) -> tuple[TokenGrid, IndexSet, TransitionRecord]:
-    """Expand the active set by new_count tokens and seat their state.
+) -> TransitionRecord:
+    """Choose new_count tokens to activate at t_boundary and their targets.
 
-    The importance map of the previous full-dimensional velocity ranks the
+    The importance map of the full-grid velocity at time t ranks the
     inactive candidates; the winners get the micro-flow target built from
-    the Tweedie prediction at the previous step.  Anchor tokens pass
-    through bitwise.
+    the Tweedie prediction of state.  No input is modified, and the record
+    shares no memory with them; the caller seats the targets.
     """
     if new_count < 1:
         raise ParameterError(f"new_count must be >= 1, got {new_count}")
-    imap = importance_map(prev_velocity)
+    imap = importance_map(velocity)
     ring = top_tokens(imap, complement(active), new_count)
-    y_hat = predict_clean(prev_state, prev_t, prev_velocity)
-    target = dmf_target(y_hat, active, ring, t_boundary, noise)
-    data = state.data.copy()
-    data[ring.indices] = target.values  # analytic endpoint of the hitting flow
-    wider = index_set(active.n_total, np.concatenate([active.indices, ring.indices]))
-    record = TransitionRecord(
-        step_index, stage_from, stage_from + 1, ring, target, imap
-    )
-    return state.with_data(data), wider, record
+    target = dmf_target(predict_clean(state, t, velocity), active, ring, t_boundary, noise)
+    return TransitionRecord(step_index, stage_from, stage_from + 1, ring, target, imap)

@@ -22,10 +22,8 @@ from jitflow.fields import (
 )
 from jitflow.grid import (
     ActiveBlock,
-    IndexSet,
     TokenGrid,
     apply_mask,
-    complement,
     embed,
     full_set,
     gather,

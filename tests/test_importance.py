@@ -18,7 +18,7 @@ def test_constant_field_zero_scores():
 
 def test_impulse_example_all_eight():
     g = TokenGrid(3, 3, 1, np.array([0, 0, 0, 0, 9, 0, 0, 0, 0], dtype=np.float32))
-    scores = importance_map(g, window=3).scores
+    scores = importance_map(g).scores
     # every clamped 3x3 window sees the 9 exactly once: E[u^2]=9, E[u]=1
     assert np.max(np.abs(scores - 8.0)) < 1e-9
     oracle = windowed_variance_scores(g.spatial().astype(np.float64), 3)
@@ -33,19 +33,11 @@ def test_duplicated_channel_leaves_score():
     assert np.allclose(importance_map(one).scores, importance_map(two).scores, atol=1e-12)
 
 
-def test_window_validation():
-    g = TokenGrid(3, 3, 1, np.zeros(9, dtype=np.float32))
-    with pytest.raises(ParameterError):
-        importance_map(g, window=4)
-    with pytest.raises(ParameterError):
-        importance_map(g, window=1)
-
-
 def test_matches_enumeration_oracle_100_trials():
     stream = UniformStream(15)
     for _ in range(100):
         g = TokenGrid(16, 16, 4, stream.normal(1024).astype(np.float32))
-        got = importance_map(g, window=3).scores
+        got = importance_map(g).scores
         want = windowed_variance_scores(g.spatial().astype(np.float64), 3)
         assert np.max(np.abs(got - want)) < 1e-5
 

@@ -267,7 +267,8 @@ def test_lift_full_set_is_identity_bitwise():
 
 
 def test_lift_full_set_shortcut_matches_composed_path():
-    # the dense fast path must equal the nn-fill/blur/compose pipeline bitwise
+    # lift is the nn-fill/blur/compose pipeline bitwise, and on the full
+    # set that pipeline returns the block itself
     stream = UniformStream(6)
     h, w, d = 4, 4, 2
     n = h * w

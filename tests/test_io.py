@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jitflow.config import MAX_STATE_VALUES, RunConfig, config_from_dict, config_to_dict
+from jitflow.config import MAX_STATE_VALUES, config_from_dict, config_to_dict
 from jitflow.errors import BudgetError, ConfigError, EngineError, FormatError
 from jitflow.fields import GaussianFlowField, ReplayField, initial_noise, make_target_image
 from jitflow import fileio
