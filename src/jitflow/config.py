@@ -5,7 +5,8 @@ The document holds a "shape", a "field" section (required), exactly one of
 (CostModel coefficients; null means token-evaluation costs).  _SCALARS
 declares every scalar key once: its section, RunConfig field, JSON type,
 default (REQUIRED: the key must be present) and minimum.  "shape",
-"preset", "field.params", "schedule.stages" and "cost" are parsed by hand.
+"preset", "field.params", "schedule.stages" and "cost" are parsed by hand;
+every "field.params" value must be a finite number.
 
 Unknown keys are collected as warnings, not errors.  A missing required
 key or a value of the wrong type, not finite or below its minimum raises a
@@ -196,9 +197,13 @@ def config_from_dict(doc: dict) -> tuple[RunConfig, list[str]]:
         warnings += [f"unknown cost key: {k}" for k in sorted(unknown)]
         cost = {k: _as(float, v, f"cost.{k}") for k, v in cost.items() if k in _COST_KEYS}
 
+    params = dict(_object(sections["field"].get("params", {}), "field.params"))
+    for k, v in params.items():  # kept as written, so saved configs do not change
+        _as(float, v, f"field.params.{k}")
+
     cfg = RunConfig(
         shape=shape,
-        field_params=dict(_object(sections["field"].get("params", {}), "field.params")),
+        field_params=params,
         preset=preset,
         stages=stages,
         cost=cost,

@@ -35,7 +35,8 @@ def gaussian_flow_velocity(x, t: float, mu, sigma1):
 
         u(x, t) = mu + (t*sigma1^2 - (1-t)) / (t^2*sigma1^2 + (1-t)^2) * (x - t*mu)
 
-    which is E[x1 - x0 | x_t = x].  Broadcasts over arrays.  At t=1 the
+    which is E[x1 - x0 | x_t = x].  Broadcasts over arrays and returns a
+    fresh float64 array, built in one buffer updated in place.  At t=1 the
     expression is singular iff sigma1 = 0 (the point-mass endpoint).
     """
     if not 0.0 <= t <= 1.0:
@@ -47,7 +48,12 @@ def gaussian_flow_velocity(x, t: float, mu, sigma1):
         raise ParameterError("velocity is singular at t=1 with sigma1=0")
     coeff = (a * s2 - b) / denom
     mu = np.asarray(mu, dtype=np.float64)
-    return mu + coeff * (np.asarray(x, dtype=np.float64) - a * mu)
+    out = np.empty(np.broadcast_shapes(np.shape(x), mu.shape, coeff.shape))
+    np.multiply(mu, a, out=out)
+    np.subtract(x, out, out=out)
+    out *= coeff
+    out += mu
+    return out
 
 
 class GaussianFlowField:
@@ -61,22 +67,26 @@ class GaussianFlowField:
     def __init__(self, mu: TokenGrid, sigma1=0.0):
         self.mu = mu
         sig = np.asarray(sigma1, dtype=np.float64)
-        if np.any(sig < 0.0):
-            raise ParameterError("sigma1 must be >= 0")
-        if sig.ndim == 0:
-            sig = np.full(mu.n_tokens, float(sig))
-        if sig.shape != (mu.n_tokens,):
+        if not np.all(np.isfinite(sig)) or np.any(sig < 0.0):
+            raise ParameterError("sigma1 must be finite and >= 0")
+        if sig.ndim and sig.shape != (mu.n_tokens,):
             raise ParameterError(
                 f"sigma1 must be scalar or one value per token, got shape {sig.shape}"
             )
-        self._sigma1 = sig
-        self.descriptor = f"gaussian-flow(sigma1_mean={float(sig.mean()):g})"
+        self._target = mu.data.astype(np.float64)  # (N, d), read by every call
+        # a scalar stays a float, so evaluate's coefficient is one number
+        self._sigma1 = sig if sig.ndim else float(sig)
+        self.descriptor = f"gaussian-flow(sigma1_mean={float(np.mean(sig)):g})"
 
     def evaluate(self, block: ActiveBlock, active: IndexSet, t: float) -> ActiveBlock:
-        if block.m != len(active) or block.d != self.mu.d:
+        if (block.m != len(active) or block.d != self.mu.d
+                or active.n_total != self.mu.n_tokens):
             raise FieldContractError("block does not match active set / field dims")
-        mu = np.take(self.mu.data, active.indices, axis=0).astype(np.float64)
-        sig = self._sigma1[active.indices][:, None]
+        full = len(active) == self.mu.n_tokens
+        mu = self._target if full else np.take(self._target, active.indices, axis=0)
+        sig = self._sigma1
+        if not isinstance(sig, float):
+            sig = (sig if full else sig[active.indices])[:, None]
         u = gaussian_flow_velocity(block.values, t, mu, sig)
         return ActiveBlock(block.m, block.d, u.astype(np.float32))
 
@@ -133,6 +143,8 @@ def make_target_image(kind: str, shape: tuple[int, int, int], params: dict | Non
         vals = np.where((rows + cols) % 2 == 0, 1.0, -1.0)
     elif kind == "gaussian-bump":
         s = float(params.pop("s", max(min(h, w) / 4.0, 1.0)))
+        if not s > 0.0:
+            raise ParameterError(f"gaussian-bump width s must be > 0, got {s}")
         cr, cc = (h - 1) // 2, (w - 1) // 2  # snap to a token so the peak is exact
         r2 = (rows - cr) ** 2 + (cols - cc) ** 2
         vals = np.exp(-r2 / (2.0 * s * s))

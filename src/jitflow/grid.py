@@ -108,10 +108,11 @@ def full_set(n_total: int) -> IndexSet:
 
 def index_set(n_total: int, indices) -> IndexSet:
     """Build an IndexSet from an unsorted, possibly duplicated collection."""
-    idx = np.unique(np.asarray(indices, dtype=np.int64))
+    idx = np.sort(np.asarray(indices, dtype=np.int64), axis=None)
     if idx.size == 0:
         raise DimensionError("index set must contain at least one index")
-    return IndexSet(n_total, idx)
+    # drop equal neighbours: np.unique's hashing is many times slower
+    return IndexSet(n_total, idx[np.concatenate(([True], idx[1:] != idx[:-1]))])
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, ParameterError, ScheduleError
-from .grid import IndexSet
+from .grid import IndexSet, full_set
 from .rng import UniformStream, derive_seed
 
 # ---------------------------------------------------------------------------
@@ -141,6 +141,11 @@ def build_schedule(
     t = beta_timesteps(n_steps, alpha, beta)
     if invert_time:
         t = 1.0 - t[::-1]
+        if not np.all(np.diff(t) > 0.0):  # 1 - t rounds tiny quantiles to 1.0
+            raise ParameterError(
+                f"alpha={alpha}, beta={beta} with invert_time collapse the inverted "
+                f"Beta warp: its {n_steps}-step timesteps repeat"
+            )
     return StageSchedule(tuple(specs), t, alpha, beta, invert_time, name)
 
 
@@ -191,11 +196,14 @@ def initial_selector(h_tok: int, w_tok: int, budget: int, seed: int) -> IndexSet
     When the base set misses the budget, supplementary indices are drawn
     uniformly from the complement; excess tokens are dropped uniformly over
     the whole base set.  Both draws come from a dedicated sub-stream of the
-    seed, so the selector never perturbs noise generation.
+    seed, so the selector never perturbs noise generation.  A budget of
+    every token returns the full set without drawing.
     """
     n = h_tok * w_tok
     if not 1 <= budget <= n:
         raise BudgetError(f"budget {budget} outside [1, {n}]")
+    if budget == n:
+        return full_set(n)
     base = base_selector_indices(h_tok, w_tok)
     stream = UniformStream(derive_seed(seed, "selector"))
     if len(base) > budget:
@@ -204,7 +212,7 @@ def initial_selector(h_tok: int, w_tok: int, budget: int, seed: int) -> IndexSet
     elif len(base) < budget:
         pool = np.setdiff1d(np.arange(n, dtype=np.int64), base, assume_unique=True)
         extra = stream.choose(pool, budget - len(base))
-        chosen = np.union1d(base, extra)
+        chosen = np.sort(np.concatenate([base, extra]))  # disjoint parts
     else:
         chosen = base
     return IndexSet(n, chosen)

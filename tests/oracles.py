@@ -4,8 +4,9 @@ Everything here deliberately avoids the library's own code paths: a full
 token-by-anchor distance matrix for nearest-anchor owners, direct 2-D
 convolution with explicit index clamping, per-window enumeration for
 variances, adaptive quadrature + root finding for the Beta CDF inverse,
-Monte Carlo regression for the analytic velocity field, and a partial
-Fisher-Yates selection that draws one bounded integer per pick.
+Monte Carlo regression for the analytic velocity field, the analytic
+field's first evaluation (gather, then a per-token sigma column), and a
+partial Fisher-Yates selection that draws one bounded integer per pick.
 """
 
 from __future__ import annotations
@@ -216,3 +217,27 @@ def gaussian_flow_velocity_mc(
         raise ValueError("window too narrow for a stable estimate")
     cond = (x1 - x0)[sel]
     return float(cond.mean()), float(cond.std(ddof=1) / math.sqrt(sel.sum()))
+
+
+def column_gaussian_evaluate(
+    mu_data: np.ndarray, sigma1, indices: np.ndarray, x: np.ndarray, t: float
+) -> np.ndarray | None:
+    """GaussianFlowField.evaluate as first written, before the float32 cast.
+
+    Gathers the float32 target rows and widens them, expands a scalar
+    sigma1 to one value per token, and broadcasts an (m, 1) coefficient
+    column over the block in fresh float64 temporaries.  Returns None where
+    the coefficient's denominator is zero (sigma1^2 = 0 at t = 1), the case
+    the library refuses.
+    """
+    sig = np.asarray(sigma1, dtype=np.float64)
+    if sig.ndim == 0:
+        sig = np.full(mu_data.shape[0], float(sig))
+    mu = np.take(mu_data, indices, axis=0).astype(np.float64)
+    s2 = sig[indices][:, None] ** 2
+    a, b = t, 1.0 - t
+    denom = a * a * s2 + b * b
+    if np.any(denom == 0.0):
+        return None
+    coeff = (a * s2 - b) / denom
+    return mu + coeff * (np.asarray(x, dtype=np.float64) - a * mu)

@@ -160,6 +160,44 @@ def test_bad_config_values_exit_with_one_error_line(tmp_path, capsys, bad):
 
 
 @pytest.mark.parametrize(
+    "kind, params, message",
+    [
+        ("gaussian-bump", {"s": "abc"}, "ConfigError: config key field.params.s "),
+        ("gaussian-bump", {"s": [1]}, "ConfigError: config key field.params.s "),
+        ("gaussian-bump", {"s": True}, "ConfigError: config key field.params.s "),
+        ("gaussian-bump", {"s": float("nan")}, "ConfigError: config key field.params.s "),
+        ("gaussian-bump", {"s": 0}, "ParameterError: gaussian-bump width s "),
+        ("gaussian-bump", {"s": -2.5}, "ParameterError: gaussian-bump width s "),
+        ("smooth-gradient", {"lo": "NaN"}, "ConfigError: config key field.params.lo "),
+        ("smooth-gradient", {"hi": "NaN"}, "ConfigError: config key field.params.hi "),
+        ("smooth-gradient", {"hi": float("inf")}, "ConfigError: config key field.params.hi "),
+    ],
+    ids=["s-string", "s-list", "s-bool", "s-nan", "s-zero", "s-negative",
+         "lo-nan-string", "hi-nan-string", "hi-inf"],
+)
+def test_bad_field_params_exit_with_one_error_line(tmp_path, capsys, kind, params, message):
+    doc = {**SMALL, "field": {"kind": kind, "sigma1": 0.0, "params": params}}
+    assert main(["sample", "--config", write_cfg(tmp_path, doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: " + message)
+
+
+def test_collapsed_inverted_warp_exits_naming_its_keys(tmp_path, capsys):
+    doc = {k: v for k, v in SMALL.items() if k != "preset"}
+    doc["schedule"] = {"stages": [[7, 0.35], [4, 0.62], [7, 1.0]],
+                       "alpha": 0.05, "beta": 0.42}
+    doc["options"] = {"invert_time": True}
+    assert main(["schedule", "--config", write_cfg(tmp_path, doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ParameterError: ")
+    assert all(key in lines[0] for key in ("alpha=0.05", "beta=0.42", "invert_time"))
+
+
+@pytest.mark.parametrize(
     "raw, message",
     [
         (json.dumps(SMALL).encode("utf-8").replace(b"jit4x", b"jit\xff4x"), "not UTF-8"),

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jitflow.errors import FieldContractError, ParameterError
 from jitflow.fields import (
@@ -15,7 +17,11 @@ from jitflow.fields import (
 )
 from jitflow.grid import TokenGrid, full_set, gather, index_set
 
-from oracles import gaussian_flow_velocity_mc, gaussian_flow_velocity_quadrature
+from oracles import (
+    column_gaussian_evaluate,
+    gaussian_flow_velocity_mc,
+    gaussian_flow_velocity_quadrature,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +124,54 @@ def test_field_per_token_sigma():
         assert out.values[i, 0] == pytest.approx(want, rel=1e-6)
 
 
+@st.composite
+def field_cases(draw):
+    h, w, d = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    n = h * w
+    scalar = st.floats(0.0, 3.0) | st.sampled_from([0.0, 0.5, 1.0])
+    sigma1 = draw(scalar if draw(st.booleans()) else st.lists(scalar, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        idx = np.arange(n)
+    else:
+        idx = np.array(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    t = draw(st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0]))
+    kind = draw(st.sampled_from(["gaussian-bump", "checkerboard", "smooth-gradient"]))
+    return (h, w, d), sigma1, idx, t, kind, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_cases())
+def test_field_matches_column_broadcast_oracle_bitwise(case):
+    shape, sigma1, idx, t, kind, seed = case
+    mu = make_target_image(kind, shape)
+    field = GaussianFlowField(mu, np.array(sigma1) if isinstance(sigma1, list) else sigma1)
+    active = index_set(mu.n_tokens, idx)
+    block = gather(initial_noise(shape, seed), active)
+    x_before, target_before = block.values.copy(), field._target.copy()
+    want = column_gaussian_evaluate(mu.data, sigma1, active.indices, block.values, t)
+    if want is not None:  # the float64 formula alone, as the field calls it
+        sig = np.array(sigma1)[active.indices][:, None] if np.ndim(sigma1) else sigma1
+        u = gaussian_flow_velocity(block.values, t, target_before[active.indices], sig)
+        assert np.array_equal(u.view(np.uint64), want.view(np.uint64))
+    for _ in range(2):  # repeated calls see the same inputs and cached target
+        if want is None:  # sigma1 = 0 at t = 1
+            with pytest.raises(ParameterError):
+                field.evaluate(block, active, t)
+        else:
+            out = field.evaluate(block, active, t)
+            assert out.values.dtype == np.float32
+            assert np.array_equal(out.values.view(np.uint32),
+                                  want.astype(np.float32).view(np.uint32))
+        assert np.array_equal(block.values, x_before)
+        assert np.array_equal(field._target, target_before)
+
+
 def test_field_validation():
     with pytest.raises(ParameterError):
         bump_field(sigma1=-0.5)
+    for bad in (float("nan"), float("inf"), np.array([0.5] * 29 + [np.nan])):
+        with pytest.raises(ParameterError, match="sigma1"):
+            bump_field(sigma1=bad)
     with pytest.raises(ParameterError):
         GaussianFlowField(make_target_image("checkerboard", (2, 2, 1)), np.ones(7))
     field = bump_field()
@@ -128,6 +179,8 @@ def test_field_validation():
     wrong = index_set(30, [0, 1, 2])
     with pytest.raises(FieldContractError):
         field.evaluate(gather(grid, full_set(30)), wrong, 0.5)
+    with pytest.raises(FieldContractError):  # 30 tokens of a larger grid
+        field.evaluate(gather(grid, full_set(30)), index_set(40, range(10, 40)), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +253,9 @@ def test_target_param_validation():
         make_target_image("plasma", (2, 2, 1))
     with pytest.raises(ParameterError):
         make_target_image("checkerboard", (2, 2, 1), {"s": 1.0})
+    for s in (0.0, -1.5):
+        with pytest.raises(ParameterError, match="width s"):
+            make_target_image("gaussian-bump", (3, 3, 1), {"s": s})
 
 
 def test_initial_noise_deterministic_and_standard():

@@ -44,6 +44,17 @@ def test_index_set_validation():
     assert np.array_equal(index_set(5, [3, 0, 3]).indices, [0, 3])
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 200), st.data())
+def test_index_set_sorts_and_deduplicates_like_unique(n, data):
+    raw = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3 * n))
+    assert np.array_equal(index_set(n, raw).indices, np.unique(raw))
+    assert np.array_equal(index_set(n, np.array(raw)[:, None]).indices, np.unique(raw))
+    for bad in ([], raw + [n], raw + [-1]):
+        with pytest.raises(DimensionError):
+            index_set(n, bad)
+
+
 def test_gather_examples():
     g = grid_1x3()
     assert np.array_equal(gather(g, index_set(3, [0, 2])).values.ravel(), [1.0, 3.0])

@@ -53,6 +53,21 @@ class BrokenField:
         return self.inner.evaluate(block, active, t)
 
 
+class CachedField:
+    """Returns one cached block per active-set size on every call."""
+
+    descriptor = "cached"
+
+    def __init__(self):
+        self.blocks = {}
+
+    def evaluate(self, block, active, t):
+        if block.m not in self.blocks:
+            values = np.linspace(-1.0, 1.0, block.m * block.d, dtype=np.float32)
+            self.blocks[block.m] = ActiveBlock(block.m, block.d, values)
+        return self.blocks[block.m]
+
+
 def bump_field(shape, sigma1):
     return GaussianFlowField(make_target_image("gaussian-bump", shape), sigma1)
 
@@ -202,6 +217,17 @@ def test_run_lifts_only_before_stage_boundaries(monkeypatch):
     assert [rec.step_index for rec in report.transitions] == [7, 11]
     cache = interp._cached_owner_map.cache_info()
     assert (cache.misses, cache.hits) == (2, 2)
+
+
+@pytest.mark.parametrize("preset", ["vanilla7", "jit4x"])
+def test_run_does_not_write_to_field_output(preset):
+    # a field may hand back an array it keeps; run must only read it
+    field = CachedField()
+    run(preset_schedule(preset), field, (8, 8, 2), seed=2)
+    assert field.blocks
+    for m, block in field.blocks.items():
+        want = np.linspace(-1.0, 1.0, m * 2, dtype=np.float32).reshape(m, 2)
+        assert np.array_equal(block.values, want)
 
 
 def test_sag_velocity_field_contract():

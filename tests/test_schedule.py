@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jitflow.errors import BudgetError, ParameterError, ScheduleError
+from jitflow.rng import UniformStream, derive_seed
 from jitflow.schedule import (
     StageSchedule,
     StageSpec,
@@ -128,6 +129,14 @@ def test_invert_time_mirrors_timesteps():
     assert np.median(fwd.timesteps) > 0.5 > np.median(inv.timesteps)
 
 
+def test_inverted_warp_collapse_names_its_keys():
+    # 1 - t rounds this warp's tiny distinct quantiles to 1.0
+    specs = [StageSpec(7, 0.35), StageSpec(4, 0.62), StageSpec(7, 1.0)]
+    build_schedule(specs, 18, 0.05, 0.42)
+    with pytest.raises(ParameterError, match="alpha=0.05, beta=0.42 with invert_time"):
+        build_schedule(specs, 18, 0.05, 0.42, invert_time=True)
+
+
 def test_stage_of_step_and_counts():
     s = preset_schedule("jit4x")
     stages = [s.stage_of_step(i) for i in range(18)]
@@ -198,6 +207,25 @@ def test_initial_selector_budgets():
         initial_selector(8, 8, 65, seed=3)
 
 
+def drawn_selector(h, w, budget, seed):
+    """The selector's draw path, which a full budget no longer takes."""
+    base = base_selector_indices(h, w)
+    stream = UniformStream(derive_seed(seed, "selector"))
+    if len(base) > budget:
+        return np.setdiff1d(base, stream.choose(base, len(base) - budget))
+    pool = np.setdiff1d(np.arange(h * w), base)
+    return np.union1d(base, stream.choose(pool, budget - len(base)))
+
+
+@pytest.mark.parametrize("h, w", [(1, 1), (2, 2), (1, 9), (3, 5)])
+def test_initial_selector_full_budget_is_every_token(h, w):
+    for seed in (0, 7, 2**31):
+        sel = initial_selector(h, w, h * w, seed)
+        assert np.array_equal(sel.indices, np.arange(h * w))
+        assert np.array_equal(sel.indices, drawn_selector(h, w, h * w, seed))
+    assert len(base_selector_indices(3, 5)) < 15  # 3x5 fills by drawing
+
+
 def test_initial_selector_corners_at_exact_budget():
     h, w = 8, 8
     corners = [0, w - 1, (h - 1) * w, h * w - 1]
@@ -220,3 +248,4 @@ def test_initial_selector_budget_property(h, w, seed, data):
     sel = initial_selector(h, w, budget, seed)
     assert len(sel) == budget
     assert sel.indices[0] >= 0 and sel.indices[-1] < h * w
+    assert np.array_equal(sel.indices, drawn_selector(h, w, budget, seed))
