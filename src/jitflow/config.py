@@ -37,7 +37,6 @@ _SCALARS = (
     ("schedule", "alpha", "alpha", float, 1.0, None),
     ("schedule", "beta", "beta", float, 1.0, None),
     ("options", "invert_time", "invert_time", bool, False, None),
-    ("options", "shared_noise", "shared_noise", bool, False, None),
     ("options", "snapshot_stride", "snapshot_stride", int, 0, 0),
 )
 # h * w * d above this is refused: a jit4x run peaks at about 225 bytes of
@@ -68,7 +67,6 @@ class RunConfig:
     alpha: float
     beta: float
     invert_time: bool
-    shared_noise: bool
     snapshot_stride: int
     cost: dict | None
     baseline_steps: int
@@ -94,7 +92,7 @@ class RunConfig:
             self.resolve_field() if field is None else field,
             self.shape,
             self.seed,
-            options=RunOptions(self.shared_noise, self.snapshot_stride),
+            options=RunOptions(snapshot_stride=self.snapshot_stride),
             cost_model=self.resolve_cost_model(),
             baseline_steps=self.baseline_steps,
         )

@@ -37,15 +37,21 @@ def gaussian_flow_velocity(x, t: float, mu, sigma1):
 
     which is E[x1 - x0 | x_t = x].  Broadcasts over arrays and returns a
     fresh float64 array, built in one buffer updated in place.  At t=1 the
-    expression is singular iff sigma1 = 0 (the point-mass endpoint).
+    expression is singular iff sigma1**2 is 0 in float64: the point-mass
+    endpoint sigma1 = 0, or a positive sigma1 whose square underflows.
     """
     if not 0.0 <= t <= 1.0:
         raise ParameterError(f"t must lie in [0, 1], got {t}")
     a, b = t, 1.0 - t
-    s2 = np.asarray(sigma1, dtype=np.float64) ** 2
+    sig = np.asarray(sigma1, dtype=np.float64)
+    s2 = sig ** 2
     denom = a * a * s2 + b * b
-    if np.any(denom == 0.0):
-        raise ParameterError("velocity is singular at t=1 with sigma1=0")
+    singular = denom == 0.0
+    if np.any(singular):
+        raise ParameterError(
+            f"velocity is singular at t=1: sigma1**2 is 0 in float64 "
+            f"for sigma1={float(sig[singular].flat[0])!r}"
+        )
     coeff = (a * s2 - b) / denom
     mu = np.asarray(mu, dtype=np.float64)
     out = np.empty(np.broadcast_shapes(np.shape(x), mu.shape, coeff.shape))
@@ -103,16 +109,16 @@ class ReplayField:
     def __init__(self, inner: VelocityField | None = None, strict: bool = True):
         self.inner = inner
         self.strict = strict
-        # key -> (indices copy, values copy); key folds indices bytes and t
-        self.tape: dict[tuple[bytes, float], tuple[np.ndarray, np.ndarray]] = {}
+        # (int64 indices bytes, t) -> values copy
+        self.tape: dict[tuple[bytes, float], np.ndarray] = {}
 
     def evaluate(self, block: ActiveBlock, active: IndexSet, t: float) -> ActiveBlock:
         key = (active.indices.tobytes(), float(t))
         if key in self.tape:
-            return ActiveBlock(block.m, block.d, self.tape[key][1].copy())
+            return ActiveBlock(block.m, block.d, self.tape[key].copy())
         if self.inner is not None:
             out = self.inner.evaluate(block, active, t)
-            self.tape[key] = (active.indices.copy(), out.values.copy())
+            self.tape[key] = out.values.copy()
             return out
         if self.strict:
             raise FieldContractError(

@@ -202,11 +202,12 @@ def save_replay(field: ReplayField, dirpath) -> None:
     dirpath.mkdir(parents=True, exist_ok=True)
     entries = []
     items = sorted(field.tape.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-    for pos, ((_, t), (indices, values)) in enumerate(items):
+    for pos, ((key, t), values) in enumerate(items):
         name = f"block_{pos:04d}.jitg"
         m, d = values.shape
         write_grid(dirpath / name, TokenGrid(1, m, d, values))
-        entries.append({"t": t, "indices": indices.tolist(), "file": name})
+        indices = np.frombuffer(key, np.int64).tolist()
+        entries.append({"t": t, "indices": indices, "file": name})
     _atomic_write(
         dirpath / "manifest.json",
         canonical_json({"entries": entries}).encode("utf-8"),
@@ -231,7 +232,7 @@ def load_replay(dirpath, strict: bool = True) -> ReplayField:
                 f"replay entry {pos}: {name} holds {block.n_tokens} tokens, "
                 f"manifest lists {len(indices)}"
             )
-        field.tape[(indices.tobytes(), t)] = (indices, block.data)
+        field.tape[(indices.tobytes(), t)] = block.data
     return field
 
 

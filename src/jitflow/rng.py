@@ -52,8 +52,9 @@ def derive_seed(seed: int, label: str, index: int = 0) -> int:
     """Derive an independent sub-stream seed for (seed, label, index).
 
     Folds the label bytes and the index into the master seed one mix at a
-    time; used to give the initial state, the selector, and each stage
-    transition their own non-overlapping streams.
+    time; used to give the initial state and the selector their own
+    non-overlapping streams.  A run draws from no other stream: stage
+    transitions reuse each new token's initial noise.
     """
     h = mix64(seed)
     for byte in label.encode("utf-8"):

@@ -2,17 +2,17 @@
 
 Each solver step evaluates the velocity field only on the active anchor
 tokens and takes an explicit Euler step on those rows alone, so a sparse
-step costs O(m) work.  Inactive rows keep the value they were last seated
-with: every token is activated before the final, dense stage, and
-activation overwrites its state with the micro-flow target, so nothing
-downstream reads an inactive row.  The step that closes a stage lifts its
-velocity to the full grid (exact on anchors, interpolated elsewhere) and
-makes the transition from its own state, before its Euler update:
-importance scores of the lifted velocity pick the new tokens, and the
-micro-flow target at the boundary time is built for them.  The first step
-of the next stage seats those targets and widens the active set.  A
-single-stage dense schedule reduces bit-for-bit to plain Euler flow
-matching.
+step costs O(m) work.  Inactive rows keep their initial noise until they
+are seated, and every token is seated before the final, dense stage.  The
+step that closes a stage lifts its velocity to the full grid (exact on
+anchors, interpolated elsewhere) and makes the transition from its own
+state, before its Euler update: importance scores of the lifted velocity
+pick the new tokens, and each gets the micro-flow target at the boundary
+time built from its own initial noise, which its still-inactive row holds.
+The first step of the next stage seats those targets and widens the
+active set.  A run draws only its initial noise and its selector, so it is
+a deterministic function of the two.  A single-stage dense schedule
+reduces bit-for-bit to plain Euler flow matching.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .errors import EngineError, FieldContractError
 from .fields import VelocityField, initial_noise
 from .grid import ActiveBlock, IndexSet, TokenGrid, index_set, validate_chain
 from .interp import lift
-from .rng import UniformStream, derive_seed
 from .schedule import StageSchedule, initial_selector
 from .transition import TransitionRecord, apply_transition
 
@@ -46,7 +45,6 @@ def _evaluate(field: VelocityField, block: ActiveBlock, active: IndexSet, t: flo
 
 @dataclass(frozen=True)
 class RunOptions:
-    shared_noise: bool = False  # one transition-noise draw reused at every stage
     snapshot_stride: int = 0  # keep state copies every k steps (0 = off)
 
 
@@ -71,12 +69,6 @@ class RunReport:
     baseline_cost: float
     speedup_vs_baseline: float
     snapshots: tuple[tuple[int, TokenGrid], ...] = dc_field(default=())
-
-
-def _transition_noise(shape: tuple[int, int, int], seed: int, index: int) -> TokenGrid:
-    h, w, d = shape
-    stream = UniformStream(derive_seed(seed, "transition", index))
-    return TokenGrid(h, w, d, stream.normal(h * w * d).astype(np.float32))
 
 
 def run(
@@ -104,7 +96,6 @@ def run(
     chain = [active]
     boundaries = set(schedule.transition_steps)
     stage = 0
-    shared = _transition_noise(shape, seed, 0) if opts.shared_noise else None
     steps: list[StepRecord] = []
     transitions: list[TransitionRecord] = []
     snapshots: list[tuple[int, TokenGrid]] = []
@@ -129,13 +120,10 @@ def run(
         steps.append(StepRecord(i, t_i, stage, len(active), cost))
         total += cost
         if i + 1 in boundaries:  # this step closes its stage
-            noise = shared if shared is not None else _transition_noise(
-                shape, seed, len(transitions)
-            )
             transitions.append(apply_transition(
                 TokenGrid(h, w, d, state), active, lift(out, active, shape), t_i,
                 float(schedule.timesteps[i + 1]), counts[stage + 1] - counts[stage],
-                noise, i + 1, stage,
+                i + 1, stage,
             ))
         step = out.values * np.float32(schedule.timesteps[i + 1] - schedule.timesteps[i])
         if dense:

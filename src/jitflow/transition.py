@@ -7,11 +7,13 @@ token activated at boundary time T is
     y* = T * Phi + (1 - T) * eps
 
 where Phi is the interpolated clean prediction (anchor Tweedie estimates
-lifted to the full grid) and eps is fresh Gaussian noise; this matches the
-marginal of the linear noise-to-data path at time T.  A finite-time hitting
-flow z' = (y* - z) / (T - t) would carry old values onto the target over a
-short window; its closed form reaches y* exactly at t = T, so the engine
-assigns the target directly and the flow exists as a tested equivalence.
+lifted to the full grid) and eps is the token's own initial noise x0: y*
+is the point at time T on the straight line from x0 toward Phi, so it
+matches the marginal of the linear noise-to-data path at time T.  No noise
+is drawn after the initial state.  A finite-time hitting flow
+z' = (y* - z) / (T - t) would carry old values onto the target over a short
+window; its closed form reaches y* exactly at t = T, so the engine assigns
+the target directly and the flow exists as a tested equivalence.
 apply_transition only builds the record (new tokens, targets, importance
 map); the sampling loop seats the targets at the boundary step.
 """
@@ -99,7 +101,6 @@ def apply_transition(
     t: float,
     t_boundary: float,
     new_count: int,
-    noise: TokenGrid,
     step_index: int,
     stage_from: int,
 ) -> TransitionRecord:
@@ -107,12 +108,14 @@ def apply_transition(
 
     The importance map of the full-grid velocity at time t ranks the
     inactive candidates; the winners get the micro-flow target built from
-    the Tweedie prediction of state.  No input is modified, and the record
-    shares no memory with them; the caller seats the targets.
+    the Tweedie prediction of state and from their own rows of state as
+    the noise.  Precondition: the inactive rows of state, and so the ring
+    rows, still hold their initial noise.  No input is modified, and the
+    record shares no memory with them; the caller seats the targets.
     """
     if new_count < 1:
         raise ParameterError(f"new_count must be >= 1, got {new_count}")
     imap = importance_map(velocity)
     ring = top_tokens(imap, complement(active), new_count)
-    target = dmf_target(predict_clean(state, t, velocity), active, ring, t_boundary, noise)
+    target = dmf_target(predict_clean(state, t, velocity), active, ring, t_boundary, state)
     return TransitionRecord(step_index, stage_from, stage_from + 1, ring, target, imap)

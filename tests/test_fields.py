@@ -47,6 +47,11 @@ def test_velocity_domain_errors():
         gaussian_flow_velocity(0.0, -0.1, 0.0, 1.0)
     with pytest.raises(ParameterError):
         gaussian_flow_velocity(0.0, 1.0, 0.0, 0.0)  # singular point mass
+    # a positive sigma1 whose square underflows is named as such
+    with pytest.raises(ParameterError, match=r"sigma1\*\*2 is 0 in float64 for sigma1=1\.1e-308"):
+        gaussian_flow_velocity(0.0, 1.0, 0.0, 1.1e-308)
+    with pytest.raises(ParameterError, match=r"for sigma1=0\.0$"):
+        gaussian_flow_velocity(0.0, 1.0, 0.0, np.array([1.0, 0.0]))
 
 
 def test_velocity_against_bayes_quadrature():

@@ -4,6 +4,7 @@ import json
 import os
 import struct
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,13 +210,14 @@ def test_unknown_keys_become_warnings():
     doc = dict(MINIMAL)
     doc["frobnicate"] = 1
     doc["field"] = {"kind": "gaussian-bump", "sgima1": 0.5}
-    doc["options"] = {"shareed_noise": True}
+    doc["options"] = {"shareed_noise": True, "shared_noise": True}  # the latter was removed
     doc["cost"] = {"c_lin": 1.0, "c_quad": 2.0}
     cfg, warnings = config_from_dict(doc)
     assert sorted(warnings) == [
         "unknown config key: frobnicate",
         "unknown cost key: c_quad",
         "unknown field key: sgima1",
+        "unknown options key: shared_noise",
         "unknown options key: shareed_noise",
     ]
     assert cfg.cost == {"c_lin": 1.0}  # the misspelled key is dropped, not kept
@@ -249,6 +251,18 @@ def test_config_roundtrip_file(tmp_path):
     before = p.read_bytes()
     write_config(p, back)
     assert p.read_bytes() == before
+
+
+def test_readme_config_schema_matches_the_parser():
+    # the README's schema block is a second copy of _SCALARS' keys: it must
+    # parse without warnings and be emitted back unchanged
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    section = readme[readme.index("### Config schema"):]
+    block = section[section.index("```json\n") + len("```json\n"):]
+    doc = json.loads(block[:block.index("```")])
+    cfg, warnings = config_from_dict(doc)
+    assert warnings == []
+    assert config_to_dict(cfg) == doc
 
 
 def test_config_rejects_malformed_json(tmp_path):
@@ -350,7 +364,7 @@ CONFIG_PATHS = [
     ("seed",), ("shape",), ("field",), ("field", "kind"), ("field", "params"),
     ("field", "sigma1"), ("preset",), ("schedule",), ("schedule", "stages"),
     ("schedule", "alpha"), ("schedule", "beta"), ("options",),
-    ("options", "snapshot_stride"), ("options", "shared_noise"), ("cost",),
+    ("options", "snapshot_stride"), ("cost",),
     ("cost", "c_attn"), ("baseline_steps",),
 ]
 

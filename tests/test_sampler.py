@@ -11,9 +11,11 @@ from jitflow.fields import (
     reference_solve,
 )
 from jitflow import interp, sampler
-from jitflow.grid import ActiveBlock, complement, gather, index_set
+from jitflow.grid import ActiveBlock, TokenGrid, complement, gather, index_set
+from jitflow.rng import UniformStream
 from jitflow.sampler import RunOptions, run
 from jitflow.schedule import initial_selector, preset_schedule
+from jitflow.transition import dmf_target, predict_clean
 
 
 class CountingField:
@@ -147,18 +149,21 @@ def test_run_endpoint_reaches_point_mass_target():
     assert err / np.linalg.norm(mu.data) < 1e-2
 
 
-def test_run_shared_noise_option_changes_transitions_only():
+def test_run_draws_one_normal_grid(monkeypatch):
+    # the initial noise is the only normal draw: transitions seat new
+    # tokens on that same noise
+    calls = []
+    normal = UniformStream.normal
+
+    def counting_normal(self, n):
+        calls.append(n)
+        return normal(self, n)
+
+    monkeypatch.setattr(UniformStream, "normal", counting_normal)
     shape = (8, 8, 2)
-    field = bump_field(shape, 0.5)
-    a = run(preset_schedule("jit4x"), field, shape, seed=3)
-    b = run(preset_schedule("jit4x"), field, shape, seed=3,
-            options=RunOptions(shared_noise=True))
-    assert not np.array_equal(a.endpoint.data, b.endpoint.data)
-    # the initial state and selector do not depend on the option
-    assert np.array_equal(
-        a.transitions[0].importance_snapshot.scores,
-        b.transitions[0].importance_snapshot.scores,
-    )
+    report = run(preset_schedule("jit4x"), bump_field(shape, 0.5), shape, seed=3)
+    assert len(report.transitions) == 2
+    assert calls == [8 * 8 * 2]
 
 
 def test_run_snapshots():
@@ -172,7 +177,8 @@ def test_run_snapshots():
 
 def test_run_snapshots_step_anchor_rows_and_keep_inactive_rows_seated():
     # every snapshot equals the reduced system: anchor rows integrated alone,
-    # activated rows seated with the transition target, other rows untouched
+    # activated rows seated with the transition target, other rows untouched;
+    # each target is the micro-flow target built on the tokens' own initial noise
     shape = (8, 8, 2)
     field = bump_field(shape, 0.5)
     schedule = preset_schedule("jit4x")
@@ -189,6 +195,13 @@ def test_run_snapshots_step_anchor_rows_and_keep_inactive_rows_seated():
             active = index_set(64, np.union1d(active.indices, rec.activated.indices))
         z = ActiveBlock(len(active), 2, state[active.indices])
         out = field.evaluate(z, active, float(schedule.timesteps[k]))
+        if k + 1 in schedule.transition_steps:
+            rec = report.transitions[schedule.transition_steps.index(k + 1)]
+            t = float(schedule.timesteps[k])
+            y_hat = predict_clean(TokenGrid(8, 8, 2, state), t, interp.lift(out, active, shape))
+            want = dmf_target(y_hat, active, rec.activated,
+                              float(schedule.timesteps[k + 1]), initial_noise(shape, seed))
+            assert np.array_equal(rec.target_values.values, want.values)
         dt = np.float32(float(schedule.timesteps[k + 1] - schedule.timesteps[k]))
         state[active.indices] = z.values + out.values * dt
         snap_step, snap = report.snapshots[k]

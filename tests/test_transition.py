@@ -169,17 +169,16 @@ def transition_inputs(seed=13):
     state = initial_noise(shape, seed=seed)
     active = index_set(16, [0, 1, 2, 3])
     velocity = initial_noise(shape, seed=seed + 200)
-    noise = initial_noise(shape, seed=seed + 300)
-    return state, active, velocity, noise
+    return state, active, velocity
 
 
 def test_apply_transition_leaves_inputs_unchanged():
     # run steps its state in place right after the call, so the record must
     # not alias any input array
-    state, active, velocity, noise = transition_inputs()
-    before = [a.copy() for a in (state.data, velocity.data, noise.data)]
-    record = apply_transition(state, active, velocity, 0.3, 0.35, 5, noise, 7, 0)
-    for arr, want in zip((state.data, velocity.data, noise.data), before):
+    state, active, velocity = transition_inputs()
+    before = [a.copy() for a in (state.data, velocity.data)]
+    record = apply_transition(state, active, velocity, 0.3, 0.35, 5, 7, 0)
+    for arr, want in zip((state.data, velocity.data), before):
         assert np.array_equal(arr, want)
         for part in (record.activated.indices, record.target_values.values,
                      record.importance_snapshot.scores):
@@ -188,14 +187,17 @@ def test_apply_transition_leaves_inputs_unchanged():
     assert len(record.activated) == 5 == record.target_values.m
     # activated tokens came from the inactive pool
     assert not np.intersect1d(record.activated.indices, active.indices).size
+    # the targets' noise is the activated tokens' own rows of state
+    want = dmf_target(predict_clean(state, 0.3, velocity), active, record.activated, 0.35, state)
+    assert np.array_equal(record.target_values.values, want.values)
 
 
 def test_apply_transition_picks_most_important_tokens():
-    state, active, velocity, noise = transition_inputs(seed=40)
+    state, active, velocity = transition_inputs(seed=40)
     scores = windowed_variance_scores(velocity.data.reshape(4, 4, 1).astype(np.float64), 3)
     inactive = np.setdiff1d(np.arange(16), active.indices)
     want = inactive[np.argsort(-scores[inactive], kind="stable")[:4]]
-    record = apply_transition(state, active, velocity, 0.3, 0.35, 4, noise, 7, 0)
+    record = apply_transition(state, active, velocity, 0.3, 0.35, 4, 7, 0)
     assert sorted(record.activated.indices.tolist()) == sorted(want.tolist())
 
 
@@ -204,25 +206,24 @@ def test_apply_transition_at_unit_boundary_uses_pure_prediction():
     # and the prediction equals the (constant) state
     shape = (4, 4, 1)
     active = index_set(16, [0, 1, 2, 3])
-    noise = initial_noise(shape, seed=2)
     record = apply_transition(
-        const_grid(4, 4, 1, 0.8), active, const_grid(4, 4, 1, 0.0), 0.9, 1.0, 3, noise, 10, 1
+        const_grid(4, 4, 1, 0.8), active, const_grid(4, 4, 1, 0.0), 0.9, 1.0, 3, 10, 1
     )
     assert record.activated.indices.tolist() == [4, 5, 6]
     assert np.all(record.target_values.values == np.float32(0.8))
 
 
 def test_apply_transition_budget_and_count_validation():
-    state, active, velocity, noise = transition_inputs()
+    state, active, velocity = transition_inputs()
     with pytest.raises(BudgetError):
-        apply_transition(state, active, velocity, 0.3, 0.35, 13, noise, 7, 0)
+        apply_transition(state, active, velocity, 0.3, 0.35, 13, 7, 0)
     with pytest.raises(ParameterError):
-        apply_transition(state, active, velocity, 0.3, 0.35, 0, noise, 7, 0)
+        apply_transition(state, active, velocity, 0.3, 0.35, 0, 7, 0)
 
 
 def test_apply_transition_deterministic():
-    state, active, velocity, noise = transition_inputs()
-    a = apply_transition(state, active, velocity, 0.3, 0.35, 5, noise, 7, 0)
-    b = apply_transition(state, active, velocity, 0.3, 0.35, 5, noise, 7, 0)
+    state, active, velocity = transition_inputs()
+    a = apply_transition(state, active, velocity, 0.3, 0.35, 5, 7, 0)
+    b = apply_transition(state, active, velocity, 0.3, 0.35, 5, 7, 0)
     assert np.array_equal(a.activated.indices, b.activated.indices)
     assert np.array_equal(a.target_values.values, b.target_values.values)
