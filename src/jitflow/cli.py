@@ -24,11 +24,10 @@ from .schedule import preset_schedule
 from .selftest import run_selftests
 
 
-def _load(path, print_warnings=True):
+def _load(path):
     cfg, warnings = read_config(path)
-    if print_warnings:
-        for w in warnings:
-            print(f"warning: {w}", file=sys.stderr)
+    for w in warnings:
+        print(f"warning: {w}", file=sys.stderr)
     return cfg
 
 

@@ -39,8 +39,9 @@ _SCALARS = (
     ("options", "invert_time", "invert_time", bool, False, None),
     ("options", "snapshot_stride", "snapshot_stride", int, 0, 0),
 )
-# h * w * d above this is refused: a jit4x run peaks at about 225 bytes of
-# numpy memory per state value (measured at 256x256x4), so ~1 GB here
+# h * w * d above this is refused: a jit4x run, building its analytic field
+# included, peaks at about 68 bytes of numpy memory per state value
+# (tracemalloc at 256x256x4), so ~290 MB here
 MAX_STATE_VALUES = 1 << 22
 # the hand-parsed keys of each section
 _STRUCTURED = {
@@ -181,9 +182,11 @@ def config_from_dict(doc: dict) -> tuple[RunConfig, list[str]]:
         if "stages" not in sdoc:
             raise ConfigError("missing required config key: schedule.stages")
         raw = sdoc["stages"]
-        if not (isinstance(raw, (list, tuple))
+        if not (isinstance(raw, (list, tuple)) and raw
                 and all(isinstance(p, (list, tuple)) and len(p) == 2 for p in raw)):
-            raise ConfigError("schedule.stages must be a list of [steps, sparsity] pairs")
+            raise ConfigError(
+                "schedule.stages must be a non-empty list of [steps, sparsity] pairs"
+            )
         stages = tuple(
             (_as(int, s, "schedule.stages"), _as(float, sp, "schedule.stages"))
             for s, sp in raw

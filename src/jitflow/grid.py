@@ -53,10 +53,6 @@ class TokenGrid:
         """View of the data as (h_tok, w_tok, d)."""
         return self.data.reshape(self.h_tok, self.w_tok, self.d)
 
-    @classmethod
-    def zeros(cls, h_tok: int, w_tok: int, d: int) -> "TokenGrid":
-        return cls(h_tok, w_tok, d, np.zeros((h_tok * w_tok, d), dtype=np.float32))
-
     def with_data(self, data: np.ndarray) -> "TokenGrid":
         return TokenGrid(self.h_tok, self.w_tok, self.d, data)
 

@@ -12,18 +12,17 @@ activated tokens.  Both lift a sparse anchor set.  The pipeline is
 The nearest-neighbor fill reads an owner map: for every token, the index of
 its nearest anchor by Euclidean distance between (row, col) grid positions,
 ties going to the lowest anchor index.  The map is exact, and its time and
-memory grow about linearly with N.  The exact Euclidean distance transform
-of Maurer et al. (IEEE TPAMI 2003, as scipy.ndimage.distance_transform_edt)
-gives every token one nearest anchor; its squared distance d2 is an exact
-integer.  A token with several anchors at d2 always has a 4-neighbour whose
-transform anchor differs from its own, so only such tokens need the tie
-pass.  That pass enumerates the lattice offsets of squared length exactly
-d2 from a table of the non-negative quadrant (at most h * w entries, sorted
-by length) under the four sign flips, and keeps the lowest anchor index
-found.  The map depends only on the grid size and the active set, so it is
-memoized per (h, w, indices) in a small LRU cache: a staged run builds one
-map per sparse stage, and the prediction lift in dmf_target reuses the map
-of the velocity lift before it.
+memory grow about linearly with N.  It comes from one call of the exact
+Euclidean distance transform of Maurer et al. (IEEE TPAMI 2003, as
+scipy.ndimage.distance_transform_edt) on the transposed anchor mask: the
+transform's last 1-D pass keeps the lower coordinate among equal distances,
+and with rows on that last axis its pick among equidistant anchors is the
+lowest row-major index.  Scipy does not document that tie rule; tests
+against the brute-force tests/oracles.brute_owner_map pin it.  The map
+depends only on the grid size and the active set, so it is memoized per
+(h, w, indices) in a small LRU cache: a staged run builds one map per
+sparse stage, and the prediction lift in dmf_target reuses the map of the
+velocity lift before it.
 
 The blur is scipy.ndimage.gaussian_filter over the two grid axes with
 edge-replicating ("nearest") padding.  Its scale tracks anchor density:
@@ -92,41 +91,12 @@ def _cached_owner_map(h: int, w: int, key: bytes) -> np.ndarray:
     n, m = h * w, len(anchors)
     rank = np.full(n, m, dtype=np.int64)  # anchor index of each token, m elsewhere
     rank[anchors] = np.arange(m)
-    rows, cols = distance_transform_edt(
-        (rank == m).reshape(h, w), return_distances=False, return_indices=True
-    ).astype(np.int64)
-    near = rows * w + cols  # one nearest anchor of each token
-    # Whichever tied anchor a the transform gave token p, a second tied
-    # anchor b makes some 4-neighbour of p inside the grid strictly nearer to
-    # b than to a, so that neighbour's anchor differs from p's.  A token whose
-    # 4-neighbours all share its anchor therefore has no tie.
-    unsure = np.zeros((h, w), dtype=bool)
-    down = near[1:] != near[:-1]
-    unsure[1:] |= down
-    unsure[:-1] |= down
-    right = near[:, 1:] != near[:, :-1]
-    unsure[:, 1:] |= right
-    unsure[:, :-1] |= right
-    tok = np.flatnonzero(unsure)
-    r, c = np.divmod(tok, w)
-    d2 = (rows.ravel()[tok] - r) ** 2 + (cols.ravel()[tok] - c) ** 2
-    # quadrant offsets that can reach d2, sorted by squared length
-    reach = math.isqrt(int(d2.max(initial=0)))
-    tw = min(w, reach + 1)
-    qr, qc = np.divmod(np.arange(min(h, reach + 1) * tw), tw)
-    length2 = qr * qr + qc * qc
-    order = np.argsort(length2)
-    length2 = length2[order]
-    start = np.searchsorted(length2, d2, "left")
-    count = np.searchsorted(length2, d2, "right") - start
-    # one row per (token, offset of squared length exactly d2)
-    pick = order[np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)]
-    tok, r, c = (np.repeat(a, count) for a in (tok, r, c))
-    owner = rank[near.ravel()]
-    for sr, sc in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        rr, cc = r + sr * qr[pick], c + sc * qc[pick]
-        inside = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
-        np.minimum.at(owner, tok[inside], rank[rr[inside] * w + cc[inside]])
+    # Transposed so that scipy's last 1-D pass runs along rows: among equidistant
+    # anchors it keeps the lowest (row, col), which is the lowest anchor index.
+    cols, rows = distance_transform_edt(
+        (rank == m).reshape(h, w).T, return_distances=False, return_indices=True
+    ).astype(np.int64).transpose(0, 2, 1)
+    owner = rank[rows * w + cols].ravel()
     owner.setflags(write=False)
     return owner
 

@@ -142,6 +142,7 @@ def test_error_paths_exit_nonzero(tmp_path, capsys):
         {"seed": "abc"},
         {"cost": [1]},
         {"schedule": {"stages": [[7]]}, "preset": None},
+        {"schedule": {"stages": []}, "preset": None},
         {"options": {"invert_time": "false"}},
         {"baseline_steps": 0},
         {"options": {"snapshot_stride": -1}},

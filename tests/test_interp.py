@@ -1,6 +1,7 @@
 """Interpolation operator: blur parameters, NN fill, blur oracle, lifting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from jitflow.errors import DimensionError, ParameterError
 from jitflow.grid import ActiveBlock, IndexSet, TokenGrid, full_set, gather, index_set
 from jitflow.interp import (
     BlurSpec,
+    _cached_owner_map,
     blur_params,
     gaussian_blur,
     lift,
@@ -139,19 +141,42 @@ def test_owner_map_lattices_at_sampler_sizes():
 
 
 def test_owner_map_more_ties_than_tree_candidates():
-    # twelve anchors on the radius-5 circle around token (5, 40) tie at its
-    # center, more than the k-d tree returns; the bottom-row anchors spread
-    # the tree over leaves, so its candidates miss the lowest tied index
-    h, w = 12, 48
-    circle = [(-5, 0), (5, 0), (0, -5), (0, 5)] + [
-        (sr * a, sc * b) for a, b in ((3, 4), (4, 3)) for sr in (-1, 1) for sc in (-1, 1)
-    ]
-    idx = [(5 + dr) * w + (40 + dc) for dr, dc in circle]
-    idx += [(h - 1) * w + c for c in range(0, w, 4)]
-    active = index_set(h * w, sorted(idx))
-    got = owner_map(active, h, w)
-    assert np.array_equal(got, brute_owner_map(active.indices, h, w))
-    assert got[5 * w + 40] == 0  # token (0, 40), the lowest row-major anchor
+    # all lattice points on a circle around a token tie at its center: 12 at
+    # radius 5 and 24 at radius^2 325; the bottom-row anchors lie outside it
+    for radius2, h, w, center in ((25, 12, 48, (5, 40)), (325, 38, 64, (18, 40))):
+        rad = math.isqrt(radius2)
+        circle = [(dr, dc) for dr in range(-rad, rad + 1) for dc in range(-rad, rad + 1)
+                  if dr * dr + dc * dc == radius2]
+        idx = [(center[0] + dr) * w + (center[1] + dc) for dr, dc in circle]
+        idx += [(h - 1) * w + c for c in range(0, w, 4)]
+        active = index_set(h * w, idx)
+        got = owner_map(active, h, w)
+        assert np.array_equal(got, brute_owner_map(active.indices, h, w))
+        assert got[center[0] * w + center[1]] == 0  # the lowest row-major anchor
+
+
+def test_owner_map_comb_matches_brute_force():
+    # anchors on every other column of row 0: every column is a Voronoi
+    # border with ties down its whole length
+    h = w = 128
+    active = index_set(h * w, range(0, w, 2))
+    assert np.array_equal(owner_map(active, h, w), brute_owner_map(active.indices, h, w))
+
+
+def test_owner_map_comb_memory():
+    # the comb puts nearly every token on a tie far from its anchors; one build
+    # must still take memory linear in N
+    h = w = 512
+    owner_map(index_set(4, [0]), 2, 2)  # import scipy.ndimage before tracing
+    _cached_owner_map.cache_clear()
+    active = index_set(h * w, range(0, w, 2))
+    tracemalloc.start()
+    try:
+        owner_map(active, h, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * h * w
 
 
 @pytest.mark.parametrize("h, w", [(1, 4096), (4096, 1)])
