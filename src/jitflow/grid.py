@@ -95,7 +95,7 @@ class IndexSet:
     def is_subset_of(self, other: "IndexSet") -> bool:
         if self.n_total != other.n_total:
             return False
-        return bool(np.all(np.isin(self.indices, other.indices)))
+        return bool(np.all(other.mask()[self.indices]))
 
 
 def full_set(n_total: int) -> IndexSet:
@@ -183,10 +183,7 @@ def ring(prev: IndexSet, cur: IndexSet) -> IndexSet:
 
 def complement(active: IndexSet) -> IndexSet:
     """Sorted indices outside the set.  May be empty (full-set input)."""
-    comp = np.setdiff1d(
-        np.arange(active.n_total, dtype=np.int64), active.indices, assume_unique=True
-    )
-    return IndexSet(active.n_total, comp)
+    return IndexSet(active.n_total, np.flatnonzero(~active.mask()))
 
 
 def validate_chain(chain: list[IndexSet]) -> None:

@@ -30,7 +30,7 @@ class ImportanceMap:
         arr = np.asarray(self.scores, dtype=np.float64).ravel()
         if arr.size != self.h_tok * self.w_tok:
             raise ParameterError("scores length does not match grid dims")
-        if np.any(arr < -1e-6):
+        if not np.all(arr >= -1e-6):  # NaN fails too: top_tokens cannot rank it
             raise ParameterError("scores must be non-negative")
         object.__setattr__(self, "scores", np.maximum(arr, 0.0))
 
@@ -46,13 +46,18 @@ def importance_map(velocity: TokenGrid) -> ImportanceMap:
     u = velocity.spatial().astype(np.float64)
     # variance is shift-invariant; anchoring each channel at its minimum
     # keeps the two-filter form well conditioned, makes constant fields
-    # score exactly zero, and leaves min-zero fields bit-identical
-    u = u - u.min(axis=(0, 1), keepdims=True)
+    # score exactly zero, and leaves min-zero fields bit-identical.  The
+    # minimum is exact in any order, so it is taken along contiguous rows of
+    # a (d, n) copy: a strided reduction over axes (0, 1) is ~10x slower.
+    u -= np.ascontiguousarray(velocity.data.T).min(axis=1)
 
     def box_mean(a: np.ndarray) -> np.ndarray:
-        return uniform_filter(a, size=(WINDOW, WINDOW, 1), mode="nearest")
+        return uniform_filter(a, size=(WINDOW, WINDOW, 1), mode="nearest", output=a)
 
-    var = box_mean(u * u) - box_mean(u) ** 2
+    var = box_mean(u * u)
+    mean = box_mean(u)  # u is spent: its box mean overwrites it
+    mean *= mean
+    var -= mean
     scores = np.maximum(var.mean(axis=2), 0.0)
     return ImportanceMap(velocity.h_tok, velocity.w_tok, scores.ravel())
 
@@ -68,7 +73,11 @@ def top_tokens(imap: ImportanceMap, candidates: IndexSet, count: int) -> IndexSe
     if count == 0:
         return IndexSet(candidates.n_total, np.empty(0, dtype=np.int64))
     cand = candidates.indices
-    # sort by (-score, index): lexsort keys are applied last-key-primary
-    order = np.lexsort((cand, -imap.scores[cand]))
-    chosen = np.sort(cand[order[:count]])
-    return IndexSet(candidates.n_total, chosen)
+    score = imap.scores[cand]
+    # every candidate above the count-th highest score is chosen, and the
+    # lowest-index candidates tied with it fill the rest; a partition finds
+    # that score in O(len) where a stable sort takes ~15x longer
+    cut = np.partition(score, len(cand) - count)[len(cand) - count]
+    chosen = score > cut
+    chosen[np.flatnonzero(score == cut)[:count - np.count_nonzero(chosen)]] = True
+    return IndexSet(candidates.n_total, cand[chosen])

@@ -113,10 +113,14 @@ def gaussian_blur(grid: TokenGrid, spec: BlurSpec) -> TokenGrid:
     """Per-channel separable Gaussian blur with replicate padding."""
     from scipy.ndimage import gaussian_filter
 
+    h, w, d = grid.shape
     r = spec.kernel_size // 2
-    arr = gaussian_filter(grid.spatial().astype(np.float64), (spec.sigma, spec.sigma, 0.0),
-                          mode="nearest", radius=(r, r, 0))
-    return grid.with_data(arr.astype(np.float32))
+    # Channel-first, so each filtered line is contiguous: about twice as fast
+    # as filtering the (h, w, d) layout, and bitwise equal, since the same two
+    # 1-D passes (rows, then columns) see the same lines in either layout.
+    x = np.ascontiguousarray(grid.data.T, dtype=np.float64).reshape(d, h, w)
+    gaussian_filter(x, (0.0, spec.sigma, spec.sigma), mode="nearest", radius=(0, r, r), output=x)
+    return grid.with_data(x.reshape(d, h * w).T.astype(np.float32, order="C"))
 
 
 def lift(block: ActiveBlock, active: IndexSet, shape: tuple[int, int, int]) -> TokenGrid:
@@ -132,6 +136,7 @@ def lift(block: ActiveBlock, active: IndexSet, shape: tuple[int, int, int]) -> T
     h, w, d = shape
     z_nn = nearest_fill(block, active, shape)
     z_blur = gaussian_blur(z_nn, blur_params(len(active), h * w))
-    out = z_blur.data.copy()
-    out[active.indices] = block.values
-    return TokenGrid(h, w, d, out)
+    # the blur's output is fresh, so compose on it in place; the block's
+    # values are finite, because nearest_fill's grid holds every one of them
+    z_blur.data[active.indices] = block.values
+    return z_blur

@@ -43,9 +43,15 @@ def mix64(z: int) -> int:
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MULT1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MULT2)
-    return z ^ (z >> np.uint64(31))
+    """mix64 of every entry of a uint64 array, in place; returns z."""
+    shifted = np.empty_like(z)
+    for shift, mult in ((30, _MULT1), (27, _MULT2)):
+        np.right_shift(z, np.uint64(shift), out=shifted)
+        z ^= shifted
+        z *= np.uint64(mult)
+    np.right_shift(z, np.uint64(31), out=shifted)
+    z ^= shifted
+    return z
 
 
 def derive_seed(seed: int, label: str, index: int = 0) -> int:
@@ -76,11 +82,11 @@ class UniformStream:
 
     def uint64(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit values as a uint64 array."""
-        idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
+        z = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
         self.counter += n
-        with np.errstate(over="ignore"):
-            states = np.uint64(self.seed) + idx * np.uint64(_GAMMA)
-            return _mix64_array(states)
+        z *= np.uint64(_GAMMA)  # uint64 array arithmetic wraps mod 2**64
+        z += np.uint64(self.seed)
+        return _mix64_array(z)
 
     def uniform(self, n: int) -> np.ndarray:
         """Next ``n`` uniforms in [0, 1), float64, 53-bit resolution."""
@@ -94,14 +100,22 @@ class UniformStream:
         """
         pairs = (n + 1) // 2
         raw = self.uint64(2 * pairs)
-        # shift u1 into (0, 1] so log(u1) is finite
-        u1 = ((raw[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
-        u2 = (raw[1::2] >> np.uint64(11)).astype(np.float64) * _INV_2_53
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = 2.0 * np.pi * u2
-        out = np.empty(2 * pairs, dtype=np.float64)
-        out[0::2] = radius * np.cos(angle)
-        out[1::2] = radius * np.sin(angle)
+        raw >>= np.uint64(11)
+        out = raw.astype(np.float64)
+        # even entries become the radius, odd ones the angle, then the pair
+        # (radius * cos(angle), radius * sin(angle)), all in place
+        radius, angle = out[0::2], out[1::2]
+        radius += 1.0  # shift u1 into (0, 1] so log(u1) is finite
+        radius *= _INV_2_53
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        angle *= _INV_2_53
+        angle *= 2.0 * np.pi
+        cos = np.cos(angle)
+        np.sin(angle, out=angle)
+        angle *= radius
+        radius *= cos
         return out[:n]
 
     def integer_below(self, bound: int) -> int:

@@ -2,9 +2,14 @@
 
 Each solver step evaluates the velocity field only on the active anchor
 tokens and takes an explicit Euler step on those rows alone, so a sparse
-step costs O(m) work.  Inactive rows keep their initial noise until they
-are seated, and every token is seated before the final, dense stage.  The
-step that closes a stage lifts its velocity to the full grid (exact on
+step costs O(m) work.  The active rows are gathered once per stage into
+one contiguous block that the stage steps in place; the field always gets
+a copy of it.  The block is written back into the full state only where
+the full state is read: before the transition, at the stage boundary
+(before seating and gathering the next block), at snapshots and at the
+end.  Inactive rows keep their initial noise until they are seated, and
+every token is seated before the final, dense stage.  The step that
+closes a stage lifts its velocity to the full grid (exact on
 anchors, interpolated elsewhere) and makes the transition from its own
 state, before its Euler update: importance scores of the lifted velocity
 pick the new tokens, and each gets the micro-flow target at the boundary
@@ -91,7 +96,7 @@ def run(
     h, w, d = shape
     n = h * w
     counts = schedule.active_counts(n)
-    state = initial_noise(shape, seed).data  # (n, d), owned here, stepped in place
+    state = initial_noise(shape, seed).data  # (n, d), owned here
     active = initial_selector(h, w, counts[0], seed)
     chain = [active]
     boundaries = set(schedule.transition_steps)
@@ -100,18 +105,19 @@ def run(
     transitions: list[TransitionRecord] = []
     snapshots: list[tuple[int, TokenGrid]] = []
     total = 0.0
+    rows = np.take(state, active.indices, axis=0)  # the stage's resident anchor rows
     for i in range(schedule.n_steps):
         t_i = float(schedule.timesteps[i])
         if i in boundaries:  # seat the targets the closing step built
+            state[active.indices] = rows  # the closing step's Euler update
             ring = transitions[-1].activated
             state[ring.indices] = transitions[-1].target_values.values
             active = index_set(n, np.concatenate([active.indices, ring.indices]))
             chain.append(active)
             stage += 1
-        dense = len(active) == n
-        block = ActiveBlock(
-            len(active), d, state.copy() if dense else np.take(state, active.indices, axis=0)
-        )
+            rows = np.take(state, active.indices, axis=0)
+        # the field gets a copy: what it does to its input cannot reach the rows
+        block = ActiveBlock(len(active), d, rows.copy())
         try:
             out = _evaluate(field, block, active, t_i)
         except EngineError as exc:
@@ -120,18 +126,17 @@ def run(
         steps.append(StepRecord(i, t_i, stage, len(active), cost))
         total += cost
         if i + 1 in boundaries:  # this step closes its stage
+            state[active.indices] = rows
             transitions.append(apply_transition(
                 TokenGrid(h, w, d, state), active, lift(out, active, shape), t_i,
                 float(schedule.timesteps[i + 1]), counts[stage + 1] - counts[stage],
                 i + 1, stage,
             ))
-        step = out.values * np.float32(schedule.timesteps[i + 1] - schedule.timesteps[i])
-        if dense:
-            state += step
-        else:
-            state[active.indices] += step
+        rows += out.values * np.float32(schedule.timesteps[i + 1] - schedule.timesteps[i])
         if opts.snapshot_stride and (i + 1) % opts.snapshot_stride == 0:
+            state[active.indices] = rows
             snapshots.append((i + 1, TokenGrid(h, w, d, state.copy())))
+    state[active.indices] = rows
     validate_chain(chain)  # realized sets, coarsest first, dense last
     baseline = baseline_steps * step_cost(n, model)
     return RunReport(

@@ -205,14 +205,13 @@ def initial_selector(h_tok: int, w_tok: int, budget: int, seed: int) -> IndexSet
     if budget == n:
         return full_set(n)
     base = base_selector_indices(h_tok, w_tok)
+    if len(base) == budget:
+        return IndexSet(n, base)
     stream = UniformStream(derive_seed(seed, "selector"))
+    member = np.zeros(n, dtype=bool)
+    member[base] = True
     if len(base) > budget:
-        dropped = stream.choose(base, len(base) - budget)
-        chosen = np.setdiff1d(base, dropped, assume_unique=True)
-    elif len(base) < budget:
-        pool = np.setdiff1d(np.arange(n, dtype=np.int64), base, assume_unique=True)
-        extra = stream.choose(pool, budget - len(base))
-        chosen = np.sort(np.concatenate([base, extra]))  # disjoint parts
+        member[stream.choose(base, len(base) - budget)] = False
     else:
-        chosen = base
-    return IndexSet(n, chosen)
+        member[stream.choose(np.flatnonzero(~member), budget - len(base))] = True
+    return IndexSet(n, np.flatnonzero(member))

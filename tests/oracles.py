@@ -5,8 +5,10 @@ token-by-anchor distance matrix for nearest-anchor owners, direct 2-D
 convolution with explicit index clamping, per-window enumeration for
 variances, adaptive quadrature + root finding for the Beta CDF inverse,
 Monte Carlo regression for the analytic velocity field, the analytic
-field's first evaluation (gather, then a per-token sigma column), and a
-partial Fisher-Yates selection that draws one bounded integer per pick.
+field's first evaluation (gather, then a per-token sigma column), a
+partial Fisher-Yates selection that draws one bounded integer per pick,
+and the importance map's two-filter formula and the Gaussian blur as
+first written with scipy (fresh temporaries, (h, w, d) layout).
 """
 
 from __future__ import annotations
@@ -99,6 +101,41 @@ def windowed_variance_scores(u: np.ndarray, window: int) -> np.ndarray:
                 acc += float((vals * vals).mean() - vals.mean() ** 2)
             scores[i, j] = max(acc / d, 0.0)
     return scores.ravel()
+
+
+def reference_importance(u: np.ndarray, window: int) -> np.ndarray:
+    """Importance scores of an (h, w, d) velocity, formula as first written.
+
+    Per-channel windowed variance from two box means (uniform_filter with
+    replicate padding) after anchoring each channel at its minimum, then
+    the channel mean, clamped at zero; the library must match it bitwise.
+    """
+    from scipy.ndimage import uniform_filter
+
+    u = np.asarray(u).astype(np.float64)
+    u = u - u.min(axis=(0, 1), keepdims=True)
+
+    def box_mean(a: np.ndarray) -> np.ndarray:
+        return uniform_filter(a, size=(window, window, 1), mode="nearest")
+
+    var = box_mean(u * u) - box_mean(u) ** 2
+    scores = np.maximum(var.mean(axis=2), 0.0)
+    return scores.ravel()
+
+
+def reference_blur(u: np.ndarray, sigma: float, kernel_size: int) -> np.ndarray:
+    """Blur of an (h, w, d) grid in its own layout, as first written.
+
+    gaussian_filter over the two grid axes (sigma 0 skips the channel
+    axis) with replicate padding, in float64, cast back to float32; the
+    library must match it bitwise.
+    """
+    from scipy.ndimage import gaussian_filter
+
+    r = kernel_size // 2
+    out = gaussian_filter(np.asarray(u).astype(np.float64), (sigma, sigma, 0.0),
+                          mode="nearest", radius=(r, r, 0))
+    return out.astype(np.float32)
 
 
 def beta_cdf_quadrature(x: float, a: float, b: float) -> float:

@@ -101,6 +101,21 @@ def test_complement_examples():
     assert len(complement(full_set(4))) == 0
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 120), st.data())
+def test_complement_and_subset_equal_brute_force(n, data):
+    every = set(range(n))
+    a = data.draw(st.one_of(st.just(every), st.sets(st.integers(0, n - 1))))
+    b = data.draw(st.sets(st.integers(0, n - 1)))
+    sa, sb = IndexSet(n, sorted(a)), IndexSet(n, sorted(b))
+    assert complement(sa).indices.tolist() == sorted(every - a)
+    assert complement(sb).indices.tolist() == sorted(every - b)
+    assert sa.is_subset_of(sb) == (a <= b)
+    assert sb.is_subset_of(sa) == (b <= a)
+    assert sa.is_subset_of(IndexSet(n, sorted(a | b)))
+    assert not sa.is_subset_of(IndexSet(n + 1, sorted(a)))
+
+
 def test_validate_chain_examples():
     ok = [index_set(4, [0, 2]), full_set(4)]
     validate_chain(ok)

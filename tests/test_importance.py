@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jitflow.errors import BudgetError, ParameterError
-from jitflow.grid import TokenGrid, full_set, index_set
-from jitflow.importance import ImportanceMap, importance_map, top_tokens
+from jitflow.grid import IndexSet, TokenGrid, full_set, index_set
+from jitflow.importance import WINDOW, ImportanceMap, importance_map, top_tokens
 from jitflow.rng import UniformStream
 
-from oracles import windowed_variance_scores
+from oracles import reference_importance, windowed_variance_scores
 
 
 def test_constant_field_zero_scores():
@@ -40,6 +42,33 @@ def test_matches_enumeration_oracle_100_trials():
         got = importance_map(g).scores
         want = windowed_variance_scores(g.spatial().astype(np.float64), 3)
         assert np.max(np.abs(got - want)) < 1e-5
+
+
+@st.composite
+def velocity_grids(draw):
+    """Grids from 1x1 to 40x40 with d in {1..9, 16}: plain normal values,
+    three levels (ties and constant windows), signed zeros, or channels
+    scaled over sixty decades."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    d = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 16]))
+    kind = draw(st.sampled_from(["normal", "levels", "signed-zeros", "wide"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((h * w, d))
+    if kind == "levels":
+        x = rng.integers(-1, 2, size=x.shape).astype(np.float64)
+    elif kind == "signed-zeros":
+        x = np.where(rng.random(x.shape) < 0.5, np.copysign(0.0, x), x)
+    elif kind == "wide":
+        x *= 10.0 ** rng.uniform(-30.0, 30.0, size=(1, d))
+    return TokenGrid(h, w, d, x.astype(np.float32))
+
+
+@settings(max_examples=300, deadline=None)
+@given(velocity_grids())
+def test_importance_map_bitwise_equals_reference_formula(g):
+    got = importance_map(g).scores
+    want = reference_importance(g.spatial(), WINDOW)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_scale_covariance():
@@ -86,8 +115,25 @@ def test_top_tokens_subset_and_deterministic():
     assert sorted(order[:12]) == a.indices.tolist()
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 120), st.data())
+def test_top_tokens_equals_sort_oracle_under_heavy_ties(n, data):
+    levels = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    scores = np.array([0.0, 0.5, 2.0])[levels]  # three levels: ties everywhere
+    member = data.draw(st.one_of(
+        st.just([True] * n), st.lists(st.booleans(), min_size=n, max_size=n)))
+    cands = IndexSet(n, np.flatnonzero(member))
+    count = data.draw(st.one_of(
+        st.just(0), st.just(len(cands)), st.integers(0, len(cands))))
+    got = top_tokens(ImportanceMap(1, n, scores), cands, count)
+    order = sorted(cands.indices.tolist(), key=lambda i: (-scores[i], i))
+    assert got.indices.tolist() == sorted(order[:count])
+
+
 def test_importance_map_validation():
     with pytest.raises(ParameterError):
         ImportanceMap(2, 2, np.array([1.0, -2.0, 0.0, 0.0]))
+    with pytest.raises(ParameterError):
+        ImportanceMap(2, 2, np.array([1.0, np.nan, 0.0, 0.0]))
     clamped = ImportanceMap(2, 2, np.array([1.0, -1e-7, 0.0, 0.0]))
     assert clamped.scores[1] == 0.0

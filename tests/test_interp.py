@@ -22,7 +22,7 @@ from jitflow.interp import (
 from jitflow.rng import UniformStream
 from jitflow.schedule import base_selector_indices, initial_selector
 
-from oracles import brute_owner_map, dense_conv2d_replicate, gaussian_kernel
+from oracles import brute_owner_map, dense_conv2d_replicate, gaussian_kernel, reference_blur
 
 
 def test_blur_params_examples():
@@ -256,6 +256,19 @@ def test_gaussian_blur_impulse_row():
     assert out[3] == pytest.approx(kernel[2], abs=1e-7)
     oracle = dense_conv2d_replicate(g.spatial().astype(np.float64), kernel)
     assert np.allclose(out, oracle.ravel(), atol=1e-6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.sampled_from([1, 2, 3, 4, 7, 16]),
+       st.floats(0.2, 6.0), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_gaussian_blur_bitwise_equals_reference_layout(h, w, d, sigma, half, seed):
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((h * w, d)) * 10.0 ** rng.uniform(-20.0, 20.0, size=(1, d))
+    g = TokenGrid(h, w, d, data.astype(np.float32))
+    spec = BlurSpec(sigma, 2 * half + 1)
+    got = gaussian_blur(g, spec).data
+    want = reference_blur(g.spatial(), spec.sigma, spec.kernel_size).reshape(h * w, d)
+    assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
 
 
 def test_gaussian_blur_equals_dense_2d_oracle():

@@ -58,6 +58,36 @@ def test_normal_moments_and_pairing():
     assert np.array_equal(s1.normal(5), s2.normal(6)[:5])
 
 
+def scalar_normal(seed: int, counter: int, n: int) -> np.ndarray:
+    """Box-Muller one pair at a time on mix64 values, after the stream's counter.
+
+    Uses numpy's float64 scalar log/sqrt/cos/sin: libm's (the math module)
+    differ from them in the last bit on about one draw in 500.
+    """
+    gamma, mask = 0x9E3779B97F4A7C15, (1 << 64) - 1
+    out = []
+    for j in range(counter, counter + 2 * ((n + 1) // 2), 2):
+        v1 = mix64((seed + (j + 1) * gamma) & mask)
+        v2 = mix64((seed + (j + 2) * gamma) & mask)
+        u1 = np.float64((v1 >> 11) + 1.0) * 2.0**-53
+        u2 = np.float64(v2 >> 11) * 2.0**-53
+        radius = np.sqrt(-2.0 * np.log(u1))
+        angle = 2.0 * np.pi * u2
+        out += [radius * np.cos(angle), radius * np.sin(angle)]
+    return np.array(out[:n], dtype=np.float64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**40), st.integers(0, 40))
+def test_normal_equals_scalar_box_muller(seed, counter, k):
+    n = 2 * k + 1  # odd: the last pair's sine is dropped
+    stream = UniformStream(seed)
+    stream.counter = counter
+    got = stream.normal(n)
+    assert got.tobytes() == scalar_normal(seed, counter, n).tobytes()
+    assert stream.counter == counter + n + 1
+
+
 def test_integer_below_and_bounds():
     s = UniformStream(1)
     vals = [s.integer_below(7) for _ in range(200)]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from jitflow.errors import FieldContractError
+from jitflow.fileio import canonical_json, report_to_dict
 from jitflow.fields import (
     GaussianFlowField,
     initial_noise,
@@ -70,6 +71,20 @@ class CachedField:
         return self.blocks[block.m]
 
 
+class OverwritingField:
+    """Evaluates its inner field, then overwrites the block it was handed."""
+
+    descriptor = "overwriting"
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def evaluate(self, block, active, t):
+        out = self.inner.evaluate(block, active, t)
+        block.values[...] = np.nan
+        return out
+
+
 def bump_field(shape, sigma1):
     return GaussianFlowField(make_target_image("gaussian-bump", shape), sigma1)
 
@@ -91,6 +106,20 @@ def test_run_nfe_and_active_counts():
     assert [len(rec.activated) for rec in report.transitions] == [69, 97]
     ts = [t for _, t in field.calls]
     assert ts == [float(x) for x in preset_schedule("jit4x").timesteps[:-1]]
+
+
+@pytest.mark.parametrize("preset", ["vanilla7", "jit4x"])
+def test_field_overwriting_its_input_cannot_change_a_run(preset):
+    # the field is handed a copy of the stage's anchor rows, never the rows
+    shape = (16, 16, 3)
+    opts = RunOptions(snapshot_stride=1)
+    clean = run(preset_schedule(preset), bump_field(shape, 0.5), shape, 5, opts)
+    dirty = run(preset_schedule(preset), OverwritingField(bump_field(shape, 0.5)),
+                shape, 5, opts)
+    assert canonical_json(report_to_dict(dirty)) == canonical_json(report_to_dict(clean))
+    assert dirty.endpoint.data.tobytes() == clean.endpoint.data.tobytes()
+    assert [g.data.tobytes() for _, g in dirty.snapshots] == [
+        g.data.tobytes() for _, g in clean.snapshots]
 
 
 def test_run_cost_accounting_linear_default():
