@@ -6,7 +6,7 @@ transformer cost models: pure linear, pure quadratic attention, and a model
 whose attention share is fitted against published wall-clock speedups.
 
 Usage:
-    python3 scripts/speedup_table.py [--tokens 256] [--baseline 50]
+    python3 scripts/speedup_table.py [--tokens 256]
 """
 
 import argparse
@@ -26,13 +26,10 @@ def main() -> int:
     parser.add_argument("--tokens", type=int, default=None,
                         help="grid size for integer per-stage budgets "
                              "(default: fractional token counts)")
-    parser.add_argument("--baseline", type=int, default=50,
-                        help="dense baseline step count")
     args = parser.parse_args()
 
     fit = calibrate_attention_share(
-        [(preset_schedule(name), want) for name, want in sorted(PUBLISHED_SPEEDUPS.items())],
-        baseline_steps=args.baseline,
+        [(preset_schedule(name), want) for name, want in sorted(PUBLISHED_SPEEDUPS.items())]
     )
     models = {
         "linear": normalized_model(0.0),
@@ -55,8 +52,7 @@ def main() -> int:
         nfe = sum(s.steps for s in sched.stages)
         row = f"{name:<10} {nfe:>4}"
         for model in models.values():
-            report = schedule_cost(sched, model, n_tokens=args.tokens,
-                                   baseline_steps=args.baseline)
+            report = schedule_cost(sched, model, n_tokens=args.tokens)
             row += f" {report.total:>22.4f} {report.speedup:>7.3f}x"
         print(row)
     return 0

@@ -54,15 +54,11 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _resolve_schedule_arg(args):
-    if args.preset:
-        return preset_schedule(args.preset)
-    cfg = _load(args.config)
-    return cfg.resolve_schedule()
-
-
 def _cmd_schedule(args) -> int:
-    sched = _resolve_schedule_arg(args)
+    if args.preset is not None:  # an empty name is an unknown preset, not "no preset"
+        sched = preset_schedule(args.preset)
+    else:
+        sched = _load(args.config).resolve_schedule()
     print("stage,steps,sparsity")
     for pos, spec in enumerate(sched.stages):
         print(f"{pos},{spec.steps},{spec.sparsity!r}")
@@ -78,9 +74,13 @@ def _cmd_bench_cost(args) -> int:
     sched = cfg.resolve_schedule()
     model = cfg.resolve_cost_model() or CostModel()
     n_tokens = cfg.shape[0] * cfg.shape[1]
+    # both reports before any output, so an overflowing model prints only its error
+    reports = [
+        (mode, schedule_cost(sched, model, n_tokens=n, baseline_steps=cfg.baseline_steps))
+        for mode, n in (("fractional", None), ("tokens", n_tokens))
+    ]
     print("schedule,mode,c_attn,c_lin,c_fix,n_ctx,total,baseline,speedup")
-    for mode, n in (("fractional", None), ("tokens", n_tokens)):
-        rep = schedule_cost(sched, model, n_tokens=n, baseline_steps=cfg.baseline_steps)
+    for mode, rep in reports:
         print(
             f"{rep.schedule_name},{mode},{model.c_attn!r},{model.c_lin!r},"
             f"{model.c_fix!r},{model.n_ctx!r},{rep.total!r},"
@@ -90,7 +90,7 @@ def _cmd_bench_cost(args) -> int:
         targets = [
             (preset_schedule(name), want) for name, want in PUBLISHED_SPEEDUPS.items()
         ]
-        fit = calibrate_attention_share(targets, baseline_steps=cfg.baseline_steps)
+        fit = calibrate_attention_share(targets)
         print()
         print(f"attention_share,{fit.attention_share!r}")
         print("schedule,target,predicted,rel_error")

@@ -1,17 +1,20 @@
-"""Run configuration: one JSON document resolving to schedule + field + options.
+"""Run configuration: one JSON document resolving to schedule + field + costs.
 
 The document holds a "shape", a "field" section (required), exactly one of
-"preset" or a "schedule" section, an "options" section and "cost"
-(CostModel coefficients; null means token-evaluation costs).  _SCALARS
-declares every scalar key once: its section, RunConfig field, JSON type,
-default (REQUIRED: the key must be present) and minimum.  "shape",
-"preset", "field.params", "schedule.stages" and "cost" are parsed by hand;
-every "field.params" value must be a finite number.
+"preset" or a "schedule" section, and "cost" (CostModel coefficients; null
+means token-evaluation costs).  _SCALARS declares every scalar key once:
+its section, RunConfig field, JSON type, default (REQUIRED: the key must be
+present) and minimum.  "shape", "preset", "field.params", "schedule.stages"
+and "cost" are parsed by hand; every "field.params" value must be a finite
+number.
 
 Unknown keys are collected as warnings, not errors.  A missing required
 key or a value of the wrong type, not finite or below its minimum raises a
 ConfigError naming the key.  A shape holding more than MAX_STATE_VALUES
-values raises a BudgetError.
+values raises a BudgetError.  The former "options" section warns as an
+unknown key, but a non-false "options.invert_time" raises a ConfigError:
+the mirrored warp it asked for is the inline schedule with alpha and beta
+swapped, and ignoring the flag would run the forward warp.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, fields
 from .cost import CostModel
 from .errors import BudgetError, ConfigError
 from .fields import GaussianFlowField, VelocityField, make_target_image
-from .sampler import RunOptions, RunReport, run as _run
+from .sampler import RunReport, run as _run
 from .schedule import StageSchedule, StageSpec, build_schedule, preset_schedule
 
 REQUIRED = object()
@@ -36,8 +39,6 @@ _SCALARS = (
     ("field", "sigma1", "sigma1", float, 0.0, None),
     ("schedule", "alpha", "alpha", float, 1.0, None),
     ("schedule", "beta", "beta", float, 1.0, None),
-    ("options", "invert_time", "invert_time", bool, False, None),
-    ("options", "snapshot_stride", "snapshot_stride", int, 0, 0),
 )
 # h * w * d above this is refused: a jit4x run, building its analytic field
 # included, peaks at about 68 bytes of numpy memory per state value
@@ -45,13 +46,12 @@ _SCALARS = (
 MAX_STATE_VALUES = 1 << 22
 # the hand-parsed keys of each section
 _STRUCTURED = {
-    None: {"shape", "field", "preset", "schedule", "options", "cost"},
+    None: {"shape", "field", "preset", "schedule", "cost"},
     "field": {"params"},
     "schedule": {"stages"},
-    "options": set(),
 }
 _COST_KEYS = {f.name for f in fields(CostModel)}
-_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
+_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
 
 
 @dataclass(frozen=True)
@@ -67,17 +67,15 @@ class RunConfig:
     stages: tuple[tuple[int, float], ...] | None
     alpha: float
     beta: float
-    invert_time: bool
-    snapshot_stride: int
     cost: dict | None
     baseline_steps: int
 
     def resolve_schedule(self) -> StageSchedule:
         if self.preset is not None:
-            return preset_schedule(self.preset, self.invert_time)
+            return preset_schedule(self.preset)
         specs = [StageSpec(s, sp) for s, sp in self.stages]
         n_steps = sum(s.steps for s in specs)
-        return build_schedule(specs, n_steps, self.alpha, self.beta, self.invert_time)
+        return build_schedule(specs, n_steps, self.alpha, self.beta)
 
     def resolve_field(self) -> GaussianFlowField:
         mu = make_target_image(self.field_kind, self.shape, self.field_params)
@@ -93,7 +91,6 @@ class RunConfig:
             self.resolve_field() if field is None else field,
             self.shape,
             self.seed,
-            options=RunOptions(snapshot_stride=self.snapshot_stride),
             cost_model=self.resolve_cost_model(),
             baseline_steps=self.baseline_steps,
         )
@@ -109,11 +106,10 @@ def _as(kind, value, key: str):
     """value as a `kind`, or a ConfigError naming the key.
 
     Integers must be whole numbers (7.0 gives 7), numbers must be finite
-    and may not be booleans, flags must be booleans and strings must be
-    strings.
+    and may not be booleans, and strings must be strings.
     """
-    if kind is bool or kind is str:
-        ok = isinstance(value, kind)
+    if kind is str:
+        ok = isinstance(value, str)
     else:
         ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
               and (kind is float or isinstance(value, int) or value.is_integer()))
@@ -145,8 +141,13 @@ def config_from_dict(doc: dict) -> tuple[RunConfig, list[str]]:
         None: doc,
         "field": _object(_require(doc, "field"), "field"),
         "schedule": _object(sdoc if sdoc is not None else {}, "schedule"),
-        "options": _object(doc.get("options", {}), "options"),
     }
+    options = doc.get("options")
+    if isinstance(options, dict) and options.get("invert_time", False) is not False:
+        raise ConfigError(
+            "config key options.invert_time was removed: for the mirrored warp, "
+            "swap alpha and beta in an inline schedule"
+        )
     values = {}
     for section, key, name, kind, default, minimum in _SCALARS:
         path = key if section is None else f"{section}.{key}"
@@ -218,7 +219,6 @@ def config_to_dict(cfg: RunConfig) -> dict:
     doc: dict = {
         "shape": list(cfg.shape),
         "field": {"params": dict(cfg.field_params)},
-        "options": {},
     }
     if cfg.preset is not None:
         doc["preset"] = cfg.preset

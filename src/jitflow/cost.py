@@ -15,14 +15,16 @@ share of the dense per-step cost, fit so published speedups are reproduced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 from .errors import ParameterError
 from .schedule import StageSchedule
 
-# published wall-clock speedups over a dense 50-step baseline; the
-# attention-share fit reproduces them
+# published wall-clock speedups over a dense PUBLISHED_BASELINE_STEPS-step
+# baseline; the attention-share fit reproduces them
 PUBLISHED_SPEEDUPS = {"jit4x": 4.24, "jit7x": 7.07}
+PUBLISHED_BASELINE_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,16 @@ def step_cost(m: float, model: CostModel) -> float:
         raise ParameterError(f"m must be >= 0, got {m}")
     t = m + model.n_ctx
     return model.c_attn * t * t + model.c_lin * t + model.c_fix
+
+
+def speedup(baseline_total: float, total: float) -> float:
+    """baseline_total / total; a cost that overflows float64 raises ParameterError."""
+    ratio = baseline_total / total  # inf or NaN if the baseline overflows
+    if not (math.isfinite(total) and math.isfinite(ratio)):
+        raise ParameterError(
+            f"cost model overflows float64: total {total!r}, baseline {baseline_total!r}"
+        )
+    return ratio
 
 
 @dataclass(frozen=True)
@@ -90,7 +102,8 @@ def schedule_cost(
         total += cost
     baseline_total = baseline_steps * step_cost(dense, model)
     return CostReport(
-        schedule.name, total, baseline_total, baseline_total / total, tuple(per_stage)
+        schedule.name, total, baseline_total, speedup(baseline_total, total),
+        tuple(per_stage),
     )
 
 
@@ -100,19 +113,18 @@ class CalibrationResult:
     predicted: tuple[float, ...]
     targets: tuple[float, ...]
     rel_errors: tuple[float, ...]
-    names: tuple[str, ...] = field(default=())
+    names: tuple[str, ...]
 
     @property
     def max_rel_error(self) -> float:
         return max(self.rel_errors)
 
 
-def calibrate_attention_share(
-    targets: list[tuple[StageSchedule, float]], baseline_steps: int = 50
-) -> CalibrationResult:
+def calibrate_attention_share(targets: list[tuple[StageSchedule, float]]) -> CalibrationResult:
     """Fit the attention share so normalized speedups match the targets.
 
-    Least squares on relative speedup error over alpha in [0, 1].
+    Least squares on relative speedup error over alpha in [0, 1]; the targets
+    are speedups over a dense PUBLISHED_BASELINE_STEPS-step run.
     """
     from scipy.optimize import minimize_scalar  # slow to import, needed only here
 
@@ -125,7 +137,7 @@ def calibrate_attention_share(
     def predict(alpha: float) -> list[float]:
         model = normalized_model(alpha)
         return [
-            schedule_cost(sch, model, baseline_steps=baseline_steps).speedup
+            schedule_cost(sch, model, baseline_steps=PUBLISHED_BASELINE_STEPS).speedup
             for sch, _ in targets
         ]
 

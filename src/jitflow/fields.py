@@ -9,6 +9,8 @@ makes endpoint error attributable entirely to the sparse approximation.
 
 from __future__ import annotations
 
+import math
+import sys
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -67,14 +69,16 @@ class GaussianFlowField:
 
     mu is a token grid (the target image); sigma1 is a scalar or per-token
     array of target standard deviations.  sigma1 = 0 makes mu an attractor
-    every trajectory reaches exactly at t=1.
+    every trajectory reaches exactly at t=1.  sigma1**2 must be finite in
+    float64, so sigma1 may not exceed about 1.3e154.
     """
 
     def __init__(self, mu: TokenGrid, sigma1=0.0):
         self.mu = mu
         sig = np.asarray(sigma1, dtype=np.float64)
-        if not np.all(np.isfinite(sig)) or np.any(sig < 0.0):
-            raise ParameterError("sigma1 must be finite and >= 0")
+        top = float(np.max(sig, initial=0.0))  # NaN if any entry is NaN
+        if np.any(sig < 0.0) or not math.isfinite(top * top):
+            raise ParameterError("sigma1 must be finite and >= 0, with a finite square")
         if sig.ndim and sig.shape != (mu.n_tokens,):
             raise ParameterError(
                 f"sigma1 must be scalar or one value per token, got shape {sig.shape}"
@@ -133,7 +137,8 @@ def make_target_image(kind: str, shape: tuple[int, int, int], params: dict | Non
     smooth-gradient: token index / (N - 1), linear ramp over [lo, hi].
     checkerboard: +1 / -1 by (row + col) parity.
     gaussian-bump: exp(-r^2 / (2 s^2)) around the center token, peak 1.
-    All channels share the pattern.
+    All channels share the pattern.  lo and hi must lie in float32 range,
+    and s must be large enough that r^2 / (2 s^2) stays finite.
     """
     h, w, d = shape
     params = dict(params or {})
@@ -143,17 +148,22 @@ def make_target_image(kind: str, shape: tuple[int, int, int], params: dict | Non
     if kind == "smooth-gradient":
         lo = float(params.pop("lo", 0.0))
         hi = float(params.pop("hi", 1.0))
+        if not max(abs(lo), abs(hi)) <= float(np.finfo(np.float32).max):
+            raise ParameterError(f"smooth-gradient lo and hi must lie within float32 "
+                                 f"range, got lo={lo!r}, hi={hi!r}")
         ramp = np.arange(n, dtype=np.float64) / max(n - 1, 1)
         vals = lo + (hi - lo) * ramp
     elif kind == "checkerboard":
         vals = np.where((rows + cols) % 2 == 0, 1.0, -1.0)
     elif kind == "gaussian-bump":
         s = float(params.pop("s", max(min(h, w) / 4.0, 1.0)))
-        if not s > 0.0:
-            raise ParameterError(f"gaussian-bump width s must be > 0, got {s}")
         cr, cc = (h - 1) // 2, (w - 1) // 2  # snap to a token so the peak is exact
         r2 = (rows - cr) ** 2 + (cols - cc) ** 2
-        vals = np.exp(-r2 / (2.0 * s * s))
+        two_s2 = 2.0 * s * s  # 0 if s*s underflows, which the check refuses
+        if not (s > 0.0 and r2.max() < two_s2 * sys.float_info.max):
+            raise ParameterError(f"gaussian-bump width s must be > 0 and large enough that "
+                                 f"r**2 / (2*s*s) is finite, got {s!r}")
+        vals = np.exp(-r2 / two_s2)
     else:
         raise ParameterError(f"unknown target kind '{kind}'")
     if params:

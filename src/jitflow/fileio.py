@@ -84,21 +84,9 @@ def read_grid(path) -> TokenGrid:
     return TokenGrid(h, w, d, data)
 
 
-def write_pgm(obj, path) -> None:
-    """Binary PGM (P5) with min-max normalization; constant input -> 128.
-
-    Accepts an ImportanceMap, a single-channel TokenGrid, or a 2-D array.
-    """
-    if isinstance(obj, ImportanceMap):
-        arr = obj.scores.reshape(obj.h_tok, obj.w_tok)
-    elif isinstance(obj, TokenGrid):
-        if obj.d != 1:
-            raise FormatError(f"PGM needs a single channel, grid has d={obj.d}")
-        arr = obj.data.reshape(obj.h_tok, obj.w_tok)
-    else:
-        arr = np.asarray(obj, dtype=np.float64)
-        if arr.ndim != 2:
-            raise FormatError(f"PGM needs a 2-D array, got ndim={arr.ndim}")
+def write_pgm(imap: ImportanceMap, path) -> None:
+    """An importance map as binary PGM (P5), min-max normalized; a constant map -> 128."""
+    arr = imap.scores.reshape(imap.h_tok, imap.w_tok)
     lo, hi = float(arr.min()), float(arr.max())
     if hi == lo:
         img = np.full(arr.shape, 128, dtype=np.uint8)

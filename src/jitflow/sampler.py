@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .cost import CostModel, step_cost
+from .cost import CostModel, speedup, step_cost
 from .errors import EngineError, FieldContractError
 from .fields import VelocityField, initial_noise
 from .grid import ActiveBlock, IndexSet, TokenGrid, index_set, validate_chain
@@ -89,7 +89,8 @@ def run(
 
     Costs default to token evaluations per step (linear model); pass a
     CostModel for FLOPs-style accounting.  The baseline for the reported
-    speedup is a dense run of baseline_steps.
+    speedup is a dense run of baseline_steps; costs that overflow float64
+    raise ParameterError.
     """
     opts = options or RunOptions()
     model = cost_model or CostModel()
@@ -148,6 +149,6 @@ def run(
         endpoint=TokenGrid(h, w, d, state),
         total_cost=total,
         baseline_cost=baseline,
-        speedup_vs_baseline=baseline / total,
+        speedup_vs_baseline=speedup(baseline, total),
         snapshots=tuple(snapshots),
     )

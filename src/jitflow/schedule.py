@@ -3,7 +3,8 @@
 A schedule is a list of stages, coarse to fine, each holding a solver step
 count and an active-token fraction; the final stage is always dense.  Solver
 timesteps are the Beta(alpha, beta) quantiles of a uniform grid, so the
-step spacing can be skewed toward either end of the trajectory.
+step spacing can be skewed toward either end of the trajectory; swapping
+alpha and beta mirrors the grid (t -> 1 - t).
 
 The quantiles come from scipy.special.betaincinv, imported on first use so
 that uniform schedules never load scipy; tests check them against an
@@ -69,7 +70,6 @@ class StageSchedule:
     timesteps: np.ndarray  # (n_steps + 1,) float64, strictly increasing
     alpha: float
     beta: float
-    invert_time: bool = False
     name: str = "custom"
 
     def __post_init__(self):
@@ -105,12 +105,6 @@ class StageSchedule:
     def nfe(self) -> int:
         return sum(s.steps for s in self.stages)
 
-    def stage_of_step(self, i: int) -> int:
-        """Stage position (0 = coarsest) owning solver step i."""
-        if not 0 <= i < self.n_steps:
-            raise ScheduleError(f"step {i} outside [0, {self.n_steps})")
-        return int(np.searchsorted(np.asarray(self.transition_steps), i, side="right"))
-
     def active_counts(self, n_tokens: int) -> tuple[int, ...]:
         """Realized anchor counts per stage; the final stage is forced dense."""
         counts = [round(s.sparsity * n_tokens) for s in self.stages]
@@ -131,7 +125,6 @@ def build_schedule(
     n_steps: int,
     alpha: float,
     beta: float,
-    invert_time: bool = False,
     name: str = "custom",
 ) -> StageSchedule:
     """Assemble a schedule: stages plus warped timesteps."""
@@ -139,14 +132,7 @@ def build_schedule(
     if total != n_steps:
         raise ScheduleError(f"stage steps sum to {total}, expected n_steps={n_steps}")
     t = beta_timesteps(n_steps, alpha, beta)
-    if invert_time:
-        t = 1.0 - t[::-1]
-        if not np.all(np.diff(t) > 0.0):  # 1 - t rounds tiny quantiles to 1.0
-            raise ParameterError(
-                f"alpha={alpha}, beta={beta} with invert_time collapse the inverted "
-                f"Beta warp: its {n_steps}-step timesteps repeat"
-            )
-    return StageSchedule(tuple(specs), t, alpha, beta, invert_time, name)
+    return StageSchedule(tuple(specs), t, alpha, beta, name)
 
 
 PRESETS: dict[str, dict] = {
@@ -166,7 +152,7 @@ PRESETS: dict[str, dict] = {
 }
 
 
-def preset_schedule(name: str, invert_time: bool = False) -> StageSchedule:
+def preset_schedule(name: str) -> StageSchedule:
     if name not in PRESETS:
         raise ScheduleError(
             f"unknown preset '{name}' (have {', '.join(sorted(PRESETS))})"
@@ -174,7 +160,7 @@ def preset_schedule(name: str, invert_time: bool = False) -> StageSchedule:
     p = PRESETS[name]
     specs = [StageSpec(steps, sparsity) for steps, sparsity in p["stages"]]
     n_steps = sum(s.steps for s in specs)
-    return build_schedule(specs, n_steps, p["alpha"], p["beta"], invert_time, name)
+    return build_schedule(specs, n_steps, p["alpha"], p["beta"], name)
 
 
 # ---------------------------------------------------------------------------

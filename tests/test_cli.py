@@ -93,6 +93,18 @@ def test_bench_cost_and_calibration(tmp_path, capsys):
         assert float(row.split(",")[3]) < 0.02
 
 
+def test_calibration_ignores_the_report_baseline(tmp_path, capsys):
+    # the published speedups are over a dense 50-step run, whatever the
+    # config's own baseline_steps
+    rows = []
+    for doc in (SMALL, {**SMALL, "baseline_steps": 12}):
+        assert main(["bench-cost", "--config", write_cfg(tmp_path, doc), "--calibrate"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        rows.append(out[out.index("") + 1:])
+    assert rows[0] == rows[1]
+    assert rows[0][0].startswith("attention_share,0.0")
+
+
 def test_oracle_compare_vanilla_is_exact(tmp_path, capsys):
     doc = {
         "schedule": {"stages": [[12, 1.0]]},
@@ -145,7 +157,7 @@ def test_error_paths_exit_nonzero(tmp_path, capsys):
         {"schedule": {"stages": []}, "preset": None},
         {"options": {"invert_time": "false"}},
         {"baseline_steps": 0},
-        {"options": {"snapshot_stride": -1}},
+        {"baseline_steps": 2.5},
         {"cost": {"c_attn": float("nan")}},
         {"cost": {"c_lin": float("inf")}},
     ],
@@ -160,24 +172,36 @@ def test_bad_config_values_exit_with_one_error_line(tmp_path, capsys, bad):
     assert len(lines) == 1 and lines[0].startswith("error: ConfigError: ")
 
 
+BUMP = {"kind": "gaussian-bump", "sigma1": 0.0}
+RAMP = {"kind": "smooth-gradient", "sigma1": 0.0}
+
+
 @pytest.mark.parametrize(
-    "kind, params, message",
+    "field, message",
     [
-        ("gaussian-bump", {"s": "abc"}, "ConfigError: config key field.params.s "),
-        ("gaussian-bump", {"s": [1]}, "ConfigError: config key field.params.s "),
-        ("gaussian-bump", {"s": True}, "ConfigError: config key field.params.s "),
-        ("gaussian-bump", {"s": float("nan")}, "ConfigError: config key field.params.s "),
-        ("gaussian-bump", {"s": 0}, "ParameterError: gaussian-bump width s "),
-        ("gaussian-bump", {"s": -2.5}, "ParameterError: gaussian-bump width s "),
-        ("smooth-gradient", {"lo": "NaN"}, "ConfigError: config key field.params.lo "),
-        ("smooth-gradient", {"hi": "NaN"}, "ConfigError: config key field.params.hi "),
-        ("smooth-gradient", {"hi": float("inf")}, "ConfigError: config key field.params.hi "),
+        ({**BUMP, "params": {"s": "abc"}}, "ConfigError: config key field.params.s "),
+        ({**BUMP, "params": {"s": [1]}}, "ConfigError: config key field.params.s "),
+        ({**BUMP, "params": {"s": True}}, "ConfigError: config key field.params.s "),
+        ({**BUMP, "params": {"s": float("nan")}}, "ConfigError: config key field.params.s "),
+        ({**BUMP, "params": {"s": 0}}, "ParameterError: gaussian-bump width s "),
+        ({**BUMP, "params": {"s": -2.5}}, "ParameterError: gaussian-bump width s "),
+        ({**RAMP, "params": {"lo": "NaN"}}, "ConfigError: config key field.params.lo "),
+        ({**RAMP, "params": {"hi": "NaN"}}, "ConfigError: config key field.params.hi "),
+        ({**RAMP, "params": {"hi": float("inf")}}, "ConfigError: config key field.params.hi "),
+        # finite but extreme: each would overflow or underflow in numpy
+        ({**BUMP, "params": {"s": 1e-300}}, "ParameterError: gaussian-bump width s "),
+        ({**RAMP, "params": {"lo": -1e308, "hi": 1e308}},
+         "ParameterError: smooth-gradient lo and hi "),
+        ({**RAMP, "params": {"hi": 1e39}}, "ParameterError: smooth-gradient lo and hi "),
+        ({**BUMP, "sigma1": 1e200}, "ParameterError: sigma1 "),
     ],
     ids=["s-string", "s-list", "s-bool", "s-nan", "s-zero", "s-negative",
-         "lo-nan-string", "hi-nan-string", "hi-inf"],
+         "lo-nan-string", "hi-nan-string", "hi-inf",
+         "s-square-underflows", "hi-minus-lo-overflows", "hi-beyond-float32",
+         "sigma1-square-overflows"],
 )
-def test_bad_field_params_exit_with_one_error_line(tmp_path, capsys, kind, params, message):
-    doc = {**SMALL, "field": {"kind": kind, "sigma1": 0.0, "params": params}}
+def test_bad_field_params_exit_with_one_error_line(tmp_path, capsys, field, message):
+    doc = {**SMALL, "field": field}
     assert main(["sample", "--config", write_cfg(tmp_path, doc)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -186,16 +210,54 @@ def test_bad_field_params_exit_with_one_error_line(tmp_path, capsys, kind, param
 
 
 def test_collapsed_inverted_warp_exits_naming_its_keys(tmp_path, capsys):
+    # the inverted (0.05, 0.42) warp is the swapped (0.42, 0.05) one
     doc = {k: v for k, v in SMALL.items() if k != "preset"}
     doc["schedule"] = {"stages": [[7, 0.35], [4, 0.62], [7, 1.0]],
-                       "alpha": 0.05, "beta": 0.42}
-    doc["options"] = {"invert_time": True}
+                       "alpha": 0.42, "beta": 0.05}
     assert main(["schedule", "--config", write_cfg(tmp_path, doc)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ParameterError: ")
-    assert all(key in lines[0] for key in ("alpha=0.05", "beta=0.42", "invert_time"))
+    assert all(key in lines[0] for key in ("alpha=0.42", "beta=0.05"))
+
+
+def test_removed_invert_time_option_exits_with_one_error_line(tmp_path, capsys):
+    doc = {k: v for k, v in SMALL.items() if k != "preset"}
+    doc["schedule"] = {"stages": [[7, 0.35], [4, 0.62], [7, 1.0]],
+                       "alpha": 1.4, "beta": 0.42}
+    doc["options"] = {"invert_time": True}
+    assert main(["schedule", "--config", write_cfg(tmp_path, doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(
+        "error: ConfigError: config key options.invert_time was removed")
+    assert "swap alpha and beta" in lines[0]
+
+
+def test_old_options_section_only_warns(tmp_path, capsys):
+    old = write_cfg(tmp_path, {**SMALL, "options": {"invert_time": False,
+                                                    "snapshot_stride": 2}}, "old.json")
+    assert main(["sample", "--config", old]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: unknown config key: options\n"
+    assert main(["sample", "--config", write_cfg(tmp_path, SMALL)]) == 0
+    assert capsys.readouterr().out == captured.out  # the section changes nothing
+
+
+def test_overflowing_cost_model_exits_with_one_error_line(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {**SMALL, "cost": {"c_attn": 1e308}})
+    report = tmp_path / "report.json"
+    for args in (["sample", "--config", cfg, "--out-report", str(report)],
+                 ["bench-cost", "--config", cfg]):
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            "error: ParameterError: cost model overflows float64")
+    assert not report.exists()
 
 
 @pytest.mark.parametrize(
@@ -225,6 +287,14 @@ def test_oversized_shape_exits_with_one_budget_error_line(tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: BudgetError: shape ")
+
+
+def test_empty_preset_name_exits_with_one_error_line(capsys):
+    assert main(["schedule", "--preset", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ScheduleError: unknown preset ''")
 
 
 def test_unknown_config_keys_warn_on_stderr(tmp_path, capsys):

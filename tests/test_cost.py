@@ -129,6 +129,16 @@ def test_alpha_spot_values():
     assert abs(quad.speedup - 4.24) / 4.24 > 0.2
 
 
+def test_overflowing_costs_raise():
+    huge = CostModel(c_attn=1e308)
+    with pytest.raises(ParameterError, match="overflows float64"):
+        schedule_cost(preset_schedule("jit4x"), huge, n_tokens=64)
+    with pytest.raises(ParameterError, match="overflows float64"):
+        schedule_cost(preset_schedule("jit4x"), huge)  # the baseline alone overflows
+    rep = schedule_cost(preset_schedule("jit4x"), CostModel(c_attn=1e300), n_tokens=64)
+    assert rep.speedup == pytest.approx(50 * 64**2 / (7 * 22**2 + 4 * 40**2 + 7 * 64**2))
+
+
 def test_calibration_validation():
     with pytest.raises(ParameterError):
         calibrate_attention_share([])

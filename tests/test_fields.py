@@ -174,9 +174,11 @@ def test_field_matches_column_broadcast_oracle_bitwise(case):
 def test_field_validation():
     with pytest.raises(ParameterError):
         bump_field(sigma1=-0.5)
-    for bad in (float("nan"), float("inf"), np.array([0.5] * 29 + [np.nan])):
+    for bad in (float("nan"), float("inf"), np.array([0.5] * 29 + [np.nan]),
+                1e200, np.array([0.5] * 29 + [1e155])):  # the last two square to inf
         with pytest.raises(ParameterError, match="sigma1"):
             bump_field(sigma1=bad)
+    bump_field(sigma1=1e150)  # squares to 1e300, finite
     with pytest.raises(ParameterError):
         GaussianFlowField(make_target_image("checkerboard", (2, 2, 1)), np.ones(7))
     field = bump_field()
@@ -258,9 +260,16 @@ def test_target_param_validation():
         make_target_image("plasma", (2, 2, 1))
     with pytest.raises(ParameterError):
         make_target_image("checkerboard", (2, 2, 1), {"s": 1.0})
-    for s in (0.0, -1.5):
+    for s in (0.0, -1.5, 1e-300, 1e-160):  # 1e-300 squares to 0, 1e-160 overflows r2 / 2s^2
         with pytest.raises(ParameterError, match="width s"):
             make_target_image("gaussian-bump", (3, 3, 1), {"s": s})
+    spike = make_target_image("gaussian-bump", (3, 3, 1), {"s": 1e-100})
+    assert spike.data.ravel().tolist() == [0.0] * 4 + [1.0] + [0.0] * 4
+    for lo, hi in ((-1e308, 1e308), (0.0, 1e39), (-3.5e38, 0.0)):
+        with pytest.raises(ParameterError, match="smooth-gradient lo and hi"):
+            make_target_image("smooth-gradient", (2, 2, 1), {"lo": lo, "hi": hi})
+    ramp = make_target_image("smooth-gradient", (1, 2, 1), {"lo": -3e38, "hi": 3e38})
+    assert ramp.data.ravel().tolist() == [np.float32(-3e38), np.float32(3e38)]
 
 
 def test_initial_noise_deterministic_and_standard():

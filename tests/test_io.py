@@ -28,7 +28,7 @@ from jitflow.fileio import (
     write_report,
 )
 from jitflow.grid import TokenGrid, gather, index_set
-from jitflow.importance import importance_map
+from jitflow.importance import ImportanceMap, importance_map
 from jitflow.sampler import run
 from jitflow.schedule import preset_schedule
 
@@ -128,14 +128,14 @@ def test_jitg_errors_carry_byte_offsets(tmp_path, mutate, offset):
 
 def test_pgm_constant_maps_to_mid_gray(tmp_path):
     p = tmp_path / "c.pgm"
-    write_pgm(TokenGrid(3, 3, 1, np.full((9, 1), 4.2, np.float32)), p)
+    write_pgm(ImportanceMap(3, 3, np.full(9, 4.2)), p)
     raw = p.read_bytes()
     assert raw == b"P5\n3 3\n255\n" + b"\x80" * 9
 
 
 def test_pgm_min_max_normalization(tmp_path):
     p = tmp_path / "r.pgm"
-    write_pgm(np.array([[0.0, 1.0], [2.0, 3.0]]), p)
+    write_pgm(ImportanceMap(2, 2, np.array([0.0, 1.0, 2.0, 3.0])), p)
     raw = p.read_bytes()
     assert raw == b"P5\n2 2\n255\n" + bytes([0, 85, 170, 255])
 
@@ -150,13 +150,6 @@ def test_pgm_importance_impulse_is_uniform(tmp_path):
     p = tmp_path / "imp.pgm"
     write_pgm(imap, p)
     assert p.read_bytes() == b"P5\n3 3\n255\n" + b"\x80" * 9
-
-
-def test_pgm_input_validation(tmp_path):
-    with pytest.raises(FormatError):
-        write_pgm(TokenGrid(2, 2, 2, np.zeros((4, 2), np.float32)), tmp_path / "x.pgm")
-    with pytest.raises(FormatError):
-        write_pgm(np.zeros((2, 2, 2)), tmp_path / "y.pgm")
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +203,14 @@ def test_unknown_keys_become_warnings():
     doc = dict(MINIMAL)
     doc["frobnicate"] = 1
     doc["field"] = {"kind": "gaussian-bump", "sgima1": 0.5}
-    doc["options"] = {"shareed_noise": True, "shared_noise": True}  # the latter was removed
+    doc["options"] = {"snapshot_stride": 2, "invert_time": False}  # a removed section
     doc["cost"] = {"c_lin": 1.0, "c_quad": 2.0}
     cfg, warnings = config_from_dict(doc)
     assert sorted(warnings) == [
         "unknown config key: frobnicate",
+        "unknown config key: options",
         "unknown cost key: c_quad",
         "unknown field key: sgima1",
-        "unknown options key: shared_noise",
-        "unknown options key: shareed_noise",
     ]
     assert cfg.cost == {"c_lin": 1.0}  # the misspelled key is dropped, not kept
 
@@ -284,8 +276,8 @@ def test_config_rejects_malformed_json(tmp_path):
         ("field", {"kind": "gaussian-bump", "params": [1]}, "field.params"),
         ("cost", [1], "cost"),
         ("cost", {"c_lin": "fast"}, "cost.c_lin"),
-        ("options", [], "options"),
-        ("options", {"snapshot_stride": 1.5e400}, "options.snapshot_stride"),
+        ("options", {"invert_time": True}, "options"),
+        ("field", {"kind": "gaussian-bump", "params": {"s": "x"}}, "field.params.s"),
         ("baseline_steps", "many", "baseline_steps"),
         ("preset", ["jit4x"], "preset"),
         ("seed", 3.7, "seed"),
@@ -315,7 +307,7 @@ def test_config_whole_number_float_is_an_integer():
     [
         ("baseline_steps", 0, "baseline_steps must be >= 1, got 0"),
         ("baseline_steps", -5, "baseline_steps must be >= 1, got -5"),
-        ("options", {"snapshot_stride": -1}, "options.snapshot_stride must be >= 0, got -1"),
+        ("shape", [8, 8, 0], "shape entries must be >= 1"),
         ("shape", [0, 8, 4], "shape entries must be >= 1"),
         ("shape", [8, -2, 4], "shape entries must be >= 1"),
     ],
@@ -326,10 +318,8 @@ def test_config_values_below_minimum_are_config_errors(key, value, message):
 
 
 def test_config_minimum_values_are_accepted():
-    cfg, _ = config_from_dict(
-        {**MINIMAL, "baseline_steps": 1, "options": {"snapshot_stride": 0}}
-    )
-    assert cfg.baseline_steps == 1 and cfg.snapshot_stride == 0
+    cfg, _ = config_from_dict({**MINIMAL, "baseline_steps": 1, "shape": [1, 1, 1]})
+    assert cfg.baseline_steps == 1 and cfg.shape == (1, 1, 1)
 
 
 def test_config_shape_over_the_state_budget_is_a_budget_error():
@@ -364,7 +354,7 @@ CONFIG_PATHS = [
     ("seed",), ("shape",), ("field",), ("field", "kind"), ("field", "params"),
     ("field", "sigma1"), ("preset",), ("schedule",), ("schedule", "stages"),
     ("schedule", "alpha"), ("schedule", "beta"), ("options",),
-    ("options", "snapshot_stride"), ("cost",),
+    ("options", "invert_time"), ("cost",),
     ("cost", "c_attn"), ("baseline_steps",),
 ]
 
@@ -373,7 +363,7 @@ CONFIG_PATHS = [
 @given(st.sampled_from(CONFIG_PATHS), JSON_VALUES, st.booleans())
 def test_config_fuzz_only_config_errors_escape(path, value, inline_schedule):
     doc = json.loads(json.dumps(MINIMAL))
-    doc["options"], doc["cost"] = {}, {"c_lin": 1.0}
+    doc["cost"] = {"c_lin": 1.0}
     if inline_schedule:
         del doc["preset"]
         doc["schedule"] = {"stages": [[18, 1.0]]}

@@ -119,30 +119,30 @@ def test_build_schedule_validation():
         StageSpec(3, 0.0)
 
 
-def test_invert_time_mirrors_timesteps():
-    fwd = preset_schedule("jit4x")
-    inv = preset_schedule("jit4x", invert_time=True)
-    assert np.allclose(inv.timesteps, 1.0 - fwd.timesteps[::-1], atol=0)
-    assert inv.timesteps[0] == 0.0 and inv.timesteps[-1] == 1.0
-    assert np.all(np.diff(inv.timesteps) > 0)
-    # forward warp clusters points near t=1, the inverted one near t=0
-    assert np.median(fwd.timesteps) > 0.5 > np.median(inv.timesteps)
+def test_swapped_shapes_are_the_mirrored_warp():
+    # Beta(b, a) is Beta(a, b) under t -> 1 - t, so swapping alpha and beta
+    # gives the mirrored timestep grid
+    for a, b in [(1.4, 0.42), (2.0, 5.0), (0.5, 0.5), (3.0, 0.2)]:
+        for n in (11, 18, 50, 1000):
+            fwd = beta_timesteps(n, a, b)
+            assert np.max(np.abs(beta_timesteps(n, b, a) - (1.0 - fwd[::-1]))) <= 1e-15
+    # the preset warp clusters steps near t=1, its mirror near t=0
+    preset, mirror = beta_timesteps(18, 1.4, 0.42), beta_timesteps(18, 0.42, 1.4)
+    assert np.median(preset) > 0.5 > np.median(mirror)
 
 
 def test_inverted_warp_collapse_names_its_keys():
-    # 1 - t rounds this warp's tiny distinct quantiles to 1.0
+    # the inverted (0.05, 0.42) warp is the swapped (0.42, 0.05) one, whose
+    # quantiles near t=1 round to repeats: the general collapse error
     specs = [StageSpec(7, 0.35), StageSpec(4, 0.62), StageSpec(7, 1.0)]
     build_schedule(specs, 18, 0.05, 0.42)
-    with pytest.raises(ParameterError, match="alpha=0.05, beta=0.42 with invert_time"):
-        build_schedule(specs, 18, 0.05, 0.42, invert_time=True)
+    with pytest.raises(ParameterError, match="alpha=0.42, beta=0.05 collapse the Beta warp"):
+        build_schedule(specs, 18, 0.42, 0.05)
 
 
 def test_stage_of_step_and_counts():
     s = preset_schedule("jit4x")
-    stages = [s.stage_of_step(i) for i in range(18)]
-    assert stages == [0] * 7 + [1] * 4 + [2] * 7
-    with pytest.raises(ScheduleError):
-        s.stage_of_step(18)
+    assert s.transition_steps == (7, 11)  # stages own steps 0-6, 7-10 and 11-17
     assert s.active_counts(1024) == (358, 635, 1024)
     assert s.active_counts(256) == (90, 159, 256)
     # final stage forced dense regardless of rounding
