@@ -14,8 +14,8 @@ import argparse
 
 from jitflow import (
     GaussianFlowField,
+    StageSchedule,
     StageSpec,
-    build_schedule,
     make_target_image,
     normalized_model,
     preset_schedule,
@@ -36,9 +36,7 @@ def densified(base, lam: float):
             specs[-1] = StageSpec(specs[-1].steps + spec.steps, specs[-1].sparsity)
         else:
             specs.append(StageSpec(spec.steps, min(s, 1.0)))
-    n_steps = sum(sp.steps for sp in specs)
-    return build_schedule(specs, n_steps, base.alpha, base.beta,
-                          name=f"{base.name}+lam{lam:g}")
+    return StageSchedule(specs, base.alpha, base.beta, name=f"{base.name}+lam{lam:g}")
 
 
 def main() -> int:

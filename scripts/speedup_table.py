@@ -49,8 +49,7 @@ def main() -> int:
     print(header)
     for name in sorted(PRESETS):
         sched = preset_schedule(name)
-        nfe = sum(s.steps for s in sched.stages)
-        row = f"{name:<10} {nfe:>4}"
+        row = f"{name:<10} {sched.nfe:>4}"
         for model in models.values():
             report = schedule_cost(sched, model, n_tokens=args.tokens)
             row += f" {report.total:>22.4f} {report.speedup:>7.3f}x"

@@ -15,7 +15,7 @@ from .cost import CostModel, calibrate_attention_share, normalized_model, schedu
 from .fields import GaussianFlowField, ReplayField, VelocityField, make_target_image, reference_solve
 from .grid import ActiveBlock, IndexSet, TokenGrid
 from .sampler import RunOptions, RunReport, run
-from .schedule import PRESETS, StageSchedule, StageSpec, build_schedule, preset_schedule
+from .schedule import PRESETS, StageSchedule, StageSpec, preset_schedule
 
 __version__ = "0.1.0"
 
@@ -32,7 +32,6 @@ __all__ = [
     "StageSpec",
     "TokenGrid",
     "VelocityField",
-    "build_schedule",
     "calibrate_attention_share",
     "errors",
     "make_target_image",

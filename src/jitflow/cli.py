@@ -104,17 +104,14 @@ def _cmd_bench_cost(args) -> int:
 def _cmd_oracle_compare(args) -> int:
     cfg = _load(args.config)
     field = cfg.resolve_field()
+    ledger = schedule_cost(cfg.resolve_schedule(), cfg.resolve_cost_model() or CostModel(),
+                           cfg.shape[0] * cfg.shape[1], cfg.baseline_steps)
     report = cfg.run(field)
     oracle = reference_solve(field, cfg.shape, cfg.seed, args.fine_steps)
     print(f"rel_l2,{rel_l2(report.endpoint, oracle)!r}")
     print("stage,steps,m,stage_cost")
-    per_stage: dict[int, list] = {}
-    for s in report.steps:
-        per_stage.setdefault(s.stage, [0, s.m, 0.0])
-        per_stage[s.stage][0] += 1
-        per_stage[s.stage][2] += s.cost
-    for stage, (steps, m, cost) in sorted(per_stage.items()):
-        print(f"{stage},{steps},{m},{cost!r}")
+    for stage, (steps, m, cost) in enumerate(ledger.per_stage):
+        print(f"{stage},{steps},{int(m)},{cost!r}")
     return 0
 
 

@@ -22,11 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .cost import CostModel
+from .cost import PUBLISHED_BASELINE_STEPS, CostModel
 from .errors import BudgetError, ConfigError
 from .fields import GaussianFlowField, VelocityField, make_target_image
 from .sampler import RunReport, run as _run
-from .schedule import StageSchedule, StageSpec, build_schedule, preset_schedule
+from .schedule import StageSchedule, StageSpec, preset_schedule
 
 REQUIRED = object()
 
@@ -34,7 +34,7 @@ REQUIRED = object()
 # the top level, minimum None means no floor
 _SCALARS = (
     (None, "seed", "seed", int, REQUIRED, None),
-    (None, "baseline_steps", "baseline_steps", int, 50, 1),
+    (None, "baseline_steps", "baseline_steps", int, PUBLISHED_BASELINE_STEPS, 1),
     ("field", "kind", "field_kind", str, REQUIRED, None),
     ("field", "sigma1", "sigma1", float, 0.0, None),
     ("schedule", "alpha", "alpha", float, 1.0, None),
@@ -73,9 +73,7 @@ class RunConfig:
     def resolve_schedule(self) -> StageSchedule:
         if self.preset is not None:
             return preset_schedule(self.preset)
-        specs = [StageSpec(s, sp) for s, sp in self.stages]
-        n_steps = sum(s.steps for s in specs)
-        return build_schedule(specs, n_steps, self.alpha, self.beta)
+        return StageSchedule([StageSpec(s, sp) for s, sp in self.stages], self.alpha, self.beta)
 
     def resolve_field(self) -> GaussianFlowField:
         mu = make_target_image(self.field_kind, self.shape, self.field_params)

@@ -56,16 +56,6 @@ def step_cost(m: float, model: CostModel) -> float:
     return model.c_attn * t * t + model.c_lin * t + model.c_fix
 
 
-def speedup(baseline_total: float, total: float) -> float:
-    """baseline_total / total; a cost that overflows float64 raises ParameterError."""
-    ratio = baseline_total / total  # inf or NaN if the baseline overflows
-    if not (math.isfinite(total) and math.isfinite(ratio)):
-        raise ParameterError(
-            f"cost model overflows float64: total {total!r}, baseline {baseline_total!r}"
-        )
-    return ratio
-
-
 @dataclass(frozen=True)
 class CostReport:
     schedule_name: str
@@ -79,14 +69,16 @@ def schedule_cost(
     schedule: StageSchedule,
     model: CostModel,
     n_tokens: int | None = None,
-    baseline_steps: int = 50,
+    baseline_steps: int = PUBLISHED_BASELINE_STEPS,
 ) -> CostReport:
     """Total schedule cost and speedup against a dense baseline run.
+
+    The one cost ledger: run's report and every CLI cost figure come from it.
 
     With n_tokens the per-stage counts are the realized integer budgets and
     the baseline step runs all n_tokens; without it, stages are charged
     their sparsity fraction and the baseline step runs m = 1 (normalized
-    units).
+    units).  A total or baseline that overflows float64 raises ParameterError.
     """
     if n_tokens is None:
         sizes = [s.sparsity for s in schedule.stages]
@@ -101,10 +93,12 @@ def schedule_cost(
         per_stage.append((spec.steps, float(m), cost))
         total += cost
     baseline_total = baseline_steps * step_cost(dense, model)
-    return CostReport(
-        schedule.name, total, baseline_total, speedup(baseline_total, total),
-        tuple(per_stage),
-    )
+    ratio = baseline_total / total  # inf or NaN if the baseline overflows
+    if not (math.isfinite(total) and math.isfinite(ratio)):
+        raise ParameterError(
+            f"cost model overflows float64: total {total!r}, baseline {baseline_total!r}"
+        )
+    return CostReport(schedule.name, total, baseline_total, ratio, tuple(per_stage))
 
 
 @dataclass(frozen=True)

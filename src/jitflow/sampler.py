@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .cost import CostModel, speedup, step_cost
+from .cost import PUBLISHED_BASELINE_STEPS, CostModel, schedule_cost, step_cost
 from .errors import EngineError, FieldContractError
 from .fields import VelocityField, initial_noise
 from .grid import ActiveBlock, IndexSet, TokenGrid, index_set, validate_chain
@@ -83,19 +83,20 @@ def run(
     seed: int,
     options: RunOptions | None = None,
     cost_model: CostModel | None = None,
-    baseline_steps: int = 50,
+    baseline_steps: int = PUBLISHED_BASELINE_STEPS,
 ) -> RunReport:
     """Integrate the staged sparse ODE from seeded noise to the endpoint.
 
     Costs default to token evaluations per step (linear model); pass a
-    CostModel for FLOPs-style accounting.  The baseline for the reported
-    speedup is a dense run of baseline_steps; costs that overflow float64
-    raise ParameterError.
+    CostModel for FLOPs-style accounting.  The report's costs are
+    schedule_cost's, against a dense run of baseline_steps; costs that
+    overflow float64 raise ParameterError before the first step.
     """
     opts = options or RunOptions()
     model = cost_model or CostModel()
     h, w, d = shape
     n = h * w
+    ledger = schedule_cost(schedule, model, n, baseline_steps)
     counts = schedule.active_counts(n)
     state = initial_noise(shape, seed).data  # (n, d), owned here
     active = initial_selector(h, w, counts[0], seed)
@@ -105,9 +106,8 @@ def run(
     steps: list[StepRecord] = []
     transitions: list[TransitionRecord] = []
     snapshots: list[tuple[int, TokenGrid]] = []
-    total = 0.0
     rows = np.take(state, active.indices, axis=0)  # the stage's resident anchor rows
-    for i in range(schedule.n_steps):
+    for i in range(schedule.nfe):
         t_i = float(schedule.timesteps[i])
         if i in boundaries:  # seat the targets the closing step built
             state[active.indices] = rows  # the closing step's Euler update
@@ -123,9 +123,7 @@ def run(
             out = _evaluate(field, block, active, t_i)
         except EngineError as exc:
             raise type(exc)(f"step {i}: {exc}") from exc
-        cost = step_cost(len(active), model)
-        steps.append(StepRecord(i, t_i, stage, len(active), cost))
-        total += cost
+        steps.append(StepRecord(i, t_i, stage, len(active), step_cost(len(active), model)))
         if i + 1 in boundaries:  # this step closes its stage
             state[active.indices] = rows
             transitions.append(apply_transition(
@@ -139,16 +137,15 @@ def run(
             snapshots.append((i + 1, TokenGrid(h, w, d, state.copy())))
     state[active.indices] = rows
     validate_chain(chain)  # realized sets, coarsest first, dense last
-    baseline = baseline_steps * step_cost(n, model)
     return RunReport(
         schedule_name=schedule.name,
         seed=seed,
-        nfe=schedule.n_steps,
+        nfe=schedule.nfe,
         steps=tuple(steps),
         transitions=tuple(transitions),
         endpoint=TokenGrid(h, w, d, state),
-        total_cost=total,
-        baseline_cost=baseline,
-        speedup_vs_baseline=speedup(baseline, total),
+        total_cost=ledger.total,
+        baseline_cost=ledger.baseline_total,
+        speedup_vs_baseline=ledger.speedup,
         snapshots=tuple(snapshots),
     )

@@ -14,7 +14,7 @@ independent adaptive-quadrature oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,33 +64,29 @@ class StageSpec:
 
 @dataclass(frozen=True)
 class StageSchedule:
-    """Stages (coarse to fine) and warped timesteps."""
+    """Stages (coarse to fine) and the Beta(alpha, beta) warp of their steps.
+
+    The timesteps are derived: the warp's nfe + 1 quantiles.  Equality and
+    the hash follow the defining fields, so they never compare arrays.
+    """
 
     stages: tuple[StageSpec, ...]
-    timesteps: np.ndarray  # (n_steps + 1,) float64, strictly increasing
-    alpha: float
-    beta: float
+    alpha: float = 1.0
+    beta: float = 1.0
     name: str = "custom"
+    timesteps: np.ndarray = field(init=False, compare=False)  # (nfe + 1,), increasing
 
     def __post_init__(self):
+        object.__setattr__(self, "stages", tuple(self.stages))
         if not self.stages:
             raise ScheduleError("schedule needs at least one stage")
-        t = np.asarray(self.timesteps, dtype=np.float64)
-        object.__setattr__(self, "timesteps", t)
-        object.__setattr__(self, "stages", tuple(self.stages))
+        # the warp first, so a collapsing alpha/beta is named before any stage fault
+        object.__setattr__(self, "timesteps", beta_timesteps(self.nfe, self.alpha, self.beta))
         spars = [s.sparsity for s in self.stages]
         if spars[-1] != 1.0:
             raise ScheduleError(f"final stage sparsity must be 1.0, got {spars[-1]}")
         if any(x >= y for x, y in zip(spars, spars[1:])):
             raise ScheduleError(f"sparsities must increase coarse to fine: {spars}")
-        total = sum(s.steps for s in self.stages)
-        if len(t) != total + 1:
-            raise ScheduleError(
-                f"{len(t)} timesteps for {total} solver steps (need {total + 1})"
-            )
-        if not (np.all(np.isfinite(t)) and t[0] >= 0.0 and t[-1] <= 1.0
-                and np.all(np.diff(t) > 0.0)):
-            raise ScheduleError("timesteps must be finite and strictly increasing within [0, 1]")
 
     @property
     def transition_steps(self) -> tuple[int, ...]:
@@ -98,11 +94,8 @@ class StageSchedule:
         return tuple(np.cumsum([s.steps for s in self.stages])[:-1].tolist())
 
     @property
-    def n_steps(self) -> int:
-        return len(self.timesteps) - 1
-
-    @property
     def nfe(self) -> int:
+        """Solver steps, one field evaluation each."""
         return sum(s.steps for s in self.stages)
 
     def active_counts(self, n_tokens: int) -> tuple[int, ...]:
@@ -118,21 +111,6 @@ class StageSchedule:
                 f"stage token counts must strictly increase, got {counts}"
             )
         return tuple(counts)
-
-
-def build_schedule(
-    specs: list[StageSpec],
-    n_steps: int,
-    alpha: float,
-    beta: float,
-    name: str = "custom",
-) -> StageSchedule:
-    """Assemble a schedule: stages plus warped timesteps."""
-    total = sum(s.steps for s in specs)
-    if total != n_steps:
-        raise ScheduleError(f"stage steps sum to {total}, expected n_steps={n_steps}")
-    t = beta_timesteps(n_steps, alpha, beta)
-    return StageSchedule(tuple(specs), t, alpha, beta, name)
 
 
 PRESETS: dict[str, dict] = {
@@ -159,8 +137,7 @@ def preset_schedule(name: str) -> StageSchedule:
         )
     p = PRESETS[name]
     specs = [StageSpec(steps, sparsity) for steps, sparsity in p["stages"]]
-    n_steps = sum(s.steps for s in specs)
-    return build_schedule(specs, n_steps, p["alpha"], p["beta"], name)
+    return StageSchedule(specs, p["alpha"], p["beta"], name)
 
 
 # ---------------------------------------------------------------------------

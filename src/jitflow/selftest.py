@@ -102,7 +102,7 @@ def check_vanilla_degeneration() -> str:
     report = run(sched, field, shape, seed=11)
     y = initial_noise(shape, seed=11)
     everything = full_set(64)
-    for i in range(sched.n_steps):
+    for i in range(sched.nfe):
         u = field.evaluate(gather(y, everything), everything, float(sched.timesteps[i]))
         dt = float(sched.timesteps[i + 1] - sched.timesteps[i])
         y = y.with_data(y.data + u.values * np.float32(dt))

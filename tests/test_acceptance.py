@@ -34,10 +34,10 @@ from jitflow.importance import importance_map
 from jitflow.interp import lift
 from jitflow.sampler import RunOptions, run
 from jitflow.schedule import (
+    StageSchedule,
     StageSpec,
     base_selector_indices,
     beta_timesteps,
-    build_schedule,
     initial_selector,
     preset_schedule,
 )
@@ -231,7 +231,7 @@ def test_criterion_09_end_to_end_oracle():
     norm = float(np.linalg.norm(oracle.data))
 
     def rel_err(stages):
-        schedule = build_schedule(stages, 18, 1.4, 0.42)
+        schedule = StageSchedule(stages, 1.4, 0.42)
         report = run(schedule, field, shape, seed=7)
         diff = report.endpoint.data.astype(np.float64) - oracle.data.astype(np.float64)
         return float(np.linalg.norm(diff)) / norm
@@ -249,7 +249,7 @@ def test_criterion_09_end_to_end_oracle():
     assert all(np.isfinite(sweep))
     assert sweep[0] >= sweep[1] >= sweep[2]
     # all-full schedule on the oracle's own timesteps is exact
-    dense = run(build_schedule([StageSpec(18, 1.0)], 18, 1.0, 1.0), field, shape, 7)
+    dense = run(StageSchedule([StageSpec(18, 1.0)], 1.0, 1.0), field, shape, 7)
     ref18 = reference_solve(field, shape, 7, 18)
     diff = dense.endpoint.data.astype(np.float64) - ref18.data.astype(np.float64)
     full_err = float(np.linalg.norm(diff)) / norm

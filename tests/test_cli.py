@@ -7,6 +7,8 @@ import sys
 import pytest
 
 from jitflow.cli import main
+from jitflow.config import config_from_dict
+from jitflow.cost import CostModel, schedule_cost
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -127,6 +129,28 @@ def test_oracle_compare_staged_run(tmp_path, capsys):
     rel = float(out[0].split(",")[1])
     assert rel < 1e-2
     assert len(out) == 2 + 3  # three stage rows
+
+
+def test_sample_bench_cost_and_oracle_compare_print_one_ledger(tmp_path, capsys):
+    # per-step sums and per-stage products of non-integer step costs round
+    # differently; every command prints schedule_cost's numbers
+    doc = {"preset": "vanilla12", "shape": [8, 8, 1], "seed": 7,
+           "field": {"kind": "gaussian-bump", "sigma1": 0.5},
+           "cost": {"c_attn": 0.3, "c_lin": 0.7}}
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["sample", "--config", cfg]) == 0
+    sample = dict(kv.split("=") for kv in capsys.readouterr().out.split())
+    assert main(["bench-cost", "--config", cfg]) == 0
+    tokens = capsys.readouterr().out.splitlines()[2].split(",")
+    assert tokens[1] == "tokens"
+    assert (sample["total_cost"], sample["speedup"]) == (tokens[6], tokens[8])
+    assert main(["oracle-compare", "--config", cfg, "--fine-steps", "12"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    ledger = schedule_cost(config_from_dict(doc)[0].resolve_schedule(),
+                           CostModel(c_attn=0.3, c_lin=0.7), n_tokens=64)
+    assert rows == [f"{k},{steps},{int(m)},{cost!r}"
+                    for k, (steps, m, cost) in enumerate(ledger.per_stage)]
+    assert tokens[6] == repr(ledger.total)
 
 
 def test_selftest_passes(capsys):
@@ -260,6 +284,19 @@ def test_overflowing_cost_model_exits_with_one_error_line(tmp_path, capsys):
     assert not report.exists()
 
 
+def test_velocity_beyond_float32_exits_with_one_error_line(tmp_path, capsys):
+    # the point-mass field's velocity (mu - x) / (1 - t) outgrows float32 near
+    # t = 1; the cast to float32 must not warn before the engine refuses it
+    cfg = write_cfg(tmp_path, {**SMALL, "field": {
+        "kind": "smooth-gradient", "sigma1": 0.0, "params": {"hi": 3e38}}})
+    assert main(["sample", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: FieldContractError: step ")
+    assert "non-finite velocities" in lines[0]
+
+
 @pytest.mark.parametrize(
     "raw, message",
     [
@@ -305,7 +342,8 @@ def test_unknown_config_keys_warn_on_stderr(tmp_path, capsys):
 
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
-        [sys.executable, "-m", "jitflow.cli", "schedule", "--preset", "vanilla7"],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "jitflow.cli",
+         "schedule", "--preset", "vanilla7"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
@@ -316,7 +354,7 @@ def test_import_loads_no_scipy():
     # scipy is imported inside the functions that use it, so a run that needs
     # none of them (a dense uniform schedule) never pays for loading it
     proc = subprocess.run(
-        [sys.executable, "-c",
+        [sys.executable, "-W", "error::RuntimeWarning", "-c",
          "import jitflow, sys; assert not any(m.startswith('scipy') for m in sys.modules)"],
         capture_output=True, text=True,
     )

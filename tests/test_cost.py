@@ -12,7 +12,7 @@ from jitflow.cost import (
     step_cost,
 )
 from jitflow.errors import ParameterError
-from jitflow.schedule import StageSpec, build_schedule, preset_schedule
+from jitflow.schedule import StageSchedule, StageSpec, preset_schedule
 
 
 def test_step_cost_terms():
@@ -46,7 +46,7 @@ def test_dense_schedule_speedup_is_step_ratio(c_attn, c_lin, c_fix, n_ctx):
     if c_attn == c_lin == c_fix == 0.0:
         c_lin = 1.0
     model = CostModel(c_attn, c_lin, c_fix, n_ctx)
-    dense18 = build_schedule([StageSpec(18, 1.0)], 18, 1.4, 0.42)
+    dense18 = StageSchedule([StageSpec(18, 1.0)], 1.4, 0.42)
     rep = schedule_cost(dense18, model, baseline_steps=50)
     assert rep.speedup == pytest.approx(50.0 / 18.0, rel=1e-12)
     rep_tok = schedule_cost(dense18, model, n_tokens=256, baseline_steps=50)
@@ -92,8 +92,7 @@ def test_speedup_monotone_nonincreasing_in_sparsity(c_attn, c_lin, c_fix, n_ctx,
     model = CostModel(c_attn, c_lin, c_fix, n_ctx)
     s2 = s1 + 0.45
     spd = lambda a, b: schedule_cost(
-        build_schedule([StageSpec(7, a), StageSpec(4, b), StageSpec(7, 1.0)],
-                       18, 1.4, 0.42),
+        StageSchedule([StageSpec(7, a), StageSpec(4, b), StageSpec(7, 1.0)], 1.4, 0.42),
         model,
     ).speedup
     base = spd(s1, s2)

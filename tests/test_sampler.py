@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from jitflow.errors import FieldContractError
+from jitflow.cost import CostModel
+from jitflow.errors import FieldContractError, ParameterError
 from jitflow.fileio import canonical_json, report_to_dict
 from jitflow.fields import (
     GaussianFlowField,
@@ -217,7 +218,7 @@ def test_run_snapshots_step_anchor_rows_and_keep_inactive_rows_seated():
     state = noise.copy()
     active = initial_selector(8, 8, schedule.active_counts(64)[0], seed)
     seated = iter(report.transitions)
-    for k in range(schedule.n_steps):
+    for k in range(schedule.nfe):
         if k in schedule.transition_steps:
             rec = next(seated)
             state[rec.activated.indices] = rec.target_values.values
@@ -292,6 +293,14 @@ def test_run_wraps_field_errors_with_step_index():
         field = BrokenField(inner, fail_at=9, mode=mode)
         with pytest.raises(FieldContractError, match="step 9:"):
             run(preset_schedule("jit4x"), field, shape, seed=3)
+
+
+def test_run_refuses_an_overflowing_cost_model_before_evaluating():
+    shape = (8, 8, 2)
+    field = CountingField(bump_field(shape, 0.5))
+    with pytest.raises(ParameterError, match="overflows float64"):
+        run(preset_schedule("jit4x"), field, shape, seed=3, cost_model=CostModel(c_attn=1e308))
+    assert field.calls == []
 
 
 def test_run_baseline_steps_parameter():

@@ -1,5 +1,6 @@
 """Beta quantiles vs quadrature oracle, schedule assembly, initial selector."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from jitflow.schedule import (
     StageSpec,
     base_selector_indices,
     beta_timesteps,
-    build_schedule,
     initial_selector,
     preset_schedule,
 )
@@ -106,17 +106,24 @@ def test_vanilla_presets_single_stage_uniform():
 
 def test_build_schedule_validation():
     with pytest.raises(ScheduleError):
-        build_schedule([StageSpec(3, 1.0)], 4, 1.0, 1.0)  # steps sum mismatch
+        StageSchedule([StageSpec(2, 0.5), StageSpec(2, 0.5), StageSpec(2, 1.0)], 1, 1)
     with pytest.raises(ScheduleError):
-        build_schedule([StageSpec(2, 0.5), StageSpec(2, 0.5), StageSpec(2, 1.0)], 6, 1, 1)
+        StageSchedule([StageSpec(2, 0.7), StageSpec(2, 0.5)], 1, 1)
     with pytest.raises(ScheduleError):
-        build_schedule([StageSpec(2, 0.7), StageSpec(2, 0.5)], 4, 1, 1)
-    with pytest.raises(ScheduleError):
-        build_schedule([StageSpec(2, 0.5)], 2, 1.0, 1.0)  # final stage not dense
+        StageSchedule([StageSpec(2, 0.5)], 1.0, 1.0)  # final stage not dense
     with pytest.raises(ScheduleError):
         StageSpec(0, 1.0)
     with pytest.raises(ScheduleError):
         StageSpec(3, 0.0)
+
+
+def test_timesteps_follow_the_warp():
+    # the timesteps are derived, so a copy with a new warp gets its quantiles
+    s = dataclasses.replace(preset_schedule("jit4x"), alpha=2.0)
+    assert np.array_equal(s.timesteps, beta_timesteps(18, 2.0, 0.42))
+    assert s != preset_schedule("jit4x") == preset_schedule("jit4x")
+    assert len({preset_schedule("jit4x"), preset_schedule("jit4x"), s}) == 2
+    assert np.array_equal(StageSchedule([StageSpec(5, 1.0)]).timesteps, np.linspace(0, 1, 6))
 
 
 def test_swapped_shapes_are_the_mirrored_warp():
@@ -135,9 +142,9 @@ def test_inverted_warp_collapse_names_its_keys():
     # the inverted (0.05, 0.42) warp is the swapped (0.42, 0.05) one, whose
     # quantiles near t=1 round to repeats: the general collapse error
     specs = [StageSpec(7, 0.35), StageSpec(4, 0.62), StageSpec(7, 1.0)]
-    build_schedule(specs, 18, 0.05, 0.42)
+    StageSchedule(specs, 0.05, 0.42)
     with pytest.raises(ParameterError, match="alpha=0.42, beta=0.05 collapse the Beta warp"):
-        build_schedule(specs, 18, 0.42, 0.05)
+        StageSchedule(specs, 0.42, 0.05)
 
 
 def test_stage_of_step_and_counts():
@@ -146,25 +153,12 @@ def test_stage_of_step_and_counts():
     assert s.active_counts(1024) == (358, 635, 1024)
     assert s.active_counts(256) == (90, 159, 256)
     # final stage forced dense regardless of rounding
-    tiny = build_schedule([StageSpec(2, 0.4), StageSpec(2, 1.0)], 4, 1, 1)
+    tiny = StageSchedule([StageSpec(2, 0.4), StageSpec(2, 1.0)], 1, 1)
     assert tiny.active_counts(10) == (4, 10)
     with pytest.raises(ScheduleError):
-        build_schedule(
-            [StageSpec(1, 0.50), StageSpec(1, 0.52), StageSpec(1, 1.0)], 3, 1, 1
+        StageSchedule(
+            [StageSpec(1, 0.50), StageSpec(1, 0.52), StageSpec(1, 1.0)], 1, 1
         ).active_counts(10)  # 5 == 5: counts must strictly increase
-
-
-def test_schedule_invariants_direct_construction():
-    t = np.array([0.0, 0.5, 0.4, 1.0])
-    with pytest.raises(ScheduleError):
-        StageSchedule((StageSpec(3, 1.0),), t, 1.0, 1.0)
-    with pytest.raises(ScheduleError):
-        StageSchedule((StageSpec(3, 1.0),), np.array([0.0, 0.5, 1.0]), 1.0, 1.0)
-    # every comparison with NaN is false, so NaN passes a check for disorder
-    for t in ([0.0, np.nan, 1.0], [np.nan, 0.5, 1.0], [0.0, 0.5, np.nan],
-              [0.0, 0.5, np.inf], [-np.inf, 0.5, 1.0]):
-        with pytest.raises(ScheduleError):
-            StageSchedule((StageSpec(2, 1.0),), np.array(t), 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,14 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_script(*args):
+    # the child turns RuntimeWarnings into errors, as pytest does in-process
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / args[0]), *args[1:]],
+        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "scripts" / args[0]),
+         *args[1:]],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
