@@ -49,9 +49,7 @@ def normalized_model(attention_share: float) -> CostModel:
 
 
 def step_cost(m: float, model: CostModel) -> float:
-    """Cost of one solver step with m active tokens (fractional m allowed)."""
-    if m < 0:
-        raise ParameterError(f"m must be >= 0, got {m}")
+    """Cost of one solver step with m >= 0 active tokens (fractional m allowed)."""
     t = m + model.n_ctx
     return model.c_attn * t * t + model.c_lin * t + model.c_fix
 

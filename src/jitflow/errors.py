@@ -14,7 +14,7 @@ class DimensionError(EngineError):
 
 
 class NestingError(EngineError):
-    """An index-set chain violates the strict-subset nesting requirement."""
+    """ring's two sets are not strictly nested (ring is the only raiser)."""
 
 
 class ParameterError(EngineError):

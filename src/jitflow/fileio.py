@@ -213,7 +213,8 @@ def load_replay(dirpath, strict: bool = True) -> ReplayField:
         indices, t, name = _manifest_entry(entry, pos)
         try:
             block = read_grid(dirpath / name)
-        except (OSError, ValueError) as exc:  # ValueError: a name the OS cannot encode
+        # ValueError: a name the OS cannot encode; EngineError: a corrupt block file
+        except (OSError, ValueError, EngineError) as exc:
             raise FormatError(f"replay entry {pos}: cannot read {name!r}: {exc}") from exc
         if block.n_tokens != len(indices):
             raise FormatError(

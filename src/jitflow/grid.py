@@ -63,8 +63,8 @@ class IndexSet:
 
     Realizes the active set Omega_k.  An empty set is representable only so
     that complement(full set) has a value; every state-touching operation
-    requires at least one index, and empty sets are consumed solely by
-    token selection.
+    requires at least one index, a precondition its engine callers meet,
+    and empty sets are consumed solely by token selection.
     """
 
     n_total: int
@@ -185,31 +185,3 @@ def complement(active: IndexSet) -> IndexSet:
     """Sorted indices outside the set.  May be empty (full-set input)."""
     return IndexSet(active.n_total, np.flatnonzero(~active.mask()))
 
-
-def validate_chain(chain: list[IndexSet]) -> None:
-    """Check a nested hierarchy Omega_K < ... < Omega_0 with Omega_0 full.
-
-    Chain is ordered coarse to fine.  Raises NestingError naming the first
-    violated inclusion.
-    """
-    if not chain:
-        raise NestingError("empty chain")
-    n = chain[0].n_total
-    for pos, s in enumerate(chain):
-        if s.n_total != n:
-            raise NestingError(f"chain[{pos}] has n_total {s.n_total}, expected {n}")
-    last = chain[-1]
-    if len(last) != n:
-        raise NestingError(
-            f"chain[{len(chain) - 1}] must be the full set of {n} tokens"
-        )
-    for pos in range(len(chain) - 1):
-        inner, outer = chain[pos], chain[pos + 1]
-        if not inner.is_subset_of(outer):
-            raise NestingError(
-                f"chain[{pos}] is not a subset of chain[{pos + 1}]"
-            )
-        if len(inner) >= len(outer):
-            raise NestingError(
-                f"chain[{pos}] is not strictly smaller than chain[{pos + 1}]"
-            )

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, ParameterError
 from .grid import IndexSet, TokenGrid
 
 WINDOW = 3  # side of the square importance window, in tokens
@@ -25,14 +24,6 @@ class ImportanceMap:
     h_tok: int
     w_tok: int
     scores: np.ndarray  # (h_tok * w_tok,) float64, >= 0
-
-    def __post_init__(self):
-        arr = np.asarray(self.scores, dtype=np.float64).ravel()
-        if arr.size != self.h_tok * self.w_tok:
-            raise ParameterError("scores length does not match grid dims")
-        if not np.all(arr >= -1e-6):  # NaN fails too: top_tokens cannot rank it
-            raise ParameterError("scores must be non-negative")
-        object.__setattr__(self, "scores", np.maximum(arr, 0.0))
 
 
 def importance_map(velocity: TokenGrid) -> ImportanceMap:
@@ -63,13 +54,7 @@ def importance_map(velocity: TokenGrid) -> ImportanceMap:
 
 
 def top_tokens(imap: ImportanceMap, candidates: IndexSet, count: int) -> IndexSet:
-    """The `count` highest-scoring candidates; ties go to lower indices."""
-    if count > len(candidates):
-        raise BudgetError(
-            f"requested {count} tokens from {len(candidates)} candidates"
-        )
-    if imap.h_tok * imap.w_tok != candidates.n_total:
-        raise ParameterError("importance map does not cover the candidate grid")
+    """The `count` <= len(candidates) best candidates; ties go to lower indices."""
     if count == 0:
         return IndexSet(candidates.n_total, np.empty(0, dtype=np.int64))
     cand = candidates.indices

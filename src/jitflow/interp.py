@@ -39,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
 from .grid import ActiveBlock, IndexSet, TokenGrid
 
 
@@ -48,21 +47,9 @@ class BlurSpec:
     sigma: float
     kernel_size: int
 
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise ParameterError(f"sigma must be > 0, got {self.sigma}")
-        if self.kernel_size < 3 or self.kernel_size % 2 == 0:
-            raise ParameterError(
-                f"kernel_size must be odd and >= 3, got {self.kernel_size}"
-            )
-
 
 def blur_params(m: int, n: int) -> BlurSpec:
-    """Blur scale for m anchors among n tokens."""
-    if m < 1:
-        raise ParameterError("empty anchor set")
-    if m > n:
-        raise ParameterError(f"m={m} exceeds n={n}")
+    """Blur scale for 1 <= m <= n anchors among n tokens."""
     rho = m / n
     sigma = 0.4 / math.sqrt(rho)
     kernel_size = max(3, 2 * math.floor(1.5 * sigma) + 1)
@@ -75,11 +62,8 @@ def owner_map(active: IndexSet, h: int, w: int) -> np.ndarray:
     Distance is Euclidean between (row, col) grid coordinates; ties go to
     the anchor with the lower row-major index.  Returns a read-only int64
     array of length h * w, shared between calls with the same set.
+    Precondition: active holds at least one index over h * w tokens.
     """
-    if len(active) < 1:
-        raise ParameterError("empty anchor set")
-    if active.n_total != h * w:
-        raise DimensionError(f"set over {active.n_total} tokens, grid has {h}x{w}")
     return _cached_owner_map(h, w, active.indices.tobytes())
 
 
@@ -104,8 +88,6 @@ def _cached_owner_map(h: int, w: int, key: bytes) -> np.ndarray:
 def nearest_fill(block: ActiveBlock, active: IndexSet, shape: tuple[int, int, int]) -> TokenGrid:
     """Assign every token the value of its nearest anchor (see owner_map)."""
     h, w, d = shape
-    if block.m != len(active) or block.d != d:
-        raise DimensionError("block / set / shape mismatch in nearest_fill")
     return TokenGrid(h, w, d, np.take(block.values, owner_map(active, h, w), axis=0))
 
 
@@ -131,7 +113,8 @@ def lift(block: ActiveBlock, active: IndexSet, shape: tuple[int, int, int]) -> T
     gather(lift(b, set), set) == b holds bitwise; for the full set the
     result is the block itself.  The engine lifts only sparse sets: the
     velocity of the step that closes a stage, and the anchors' clean
-    prediction in dmf_target.
+    prediction in dmf_target.  Precondition: active is a non-empty set over
+    h * w tokens, and block holds its len(active) x d rows.
     """
     h, w, d = shape
     z_nn = nearest_fill(block, active, shape)

@@ -29,7 +29,7 @@ import numpy as np
 from .cost import PUBLISHED_BASELINE_STEPS, CostModel, schedule_cost, step_cost
 from .errors import EngineError, FieldContractError
 from .fields import VelocityField, initial_noise
-from .grid import ActiveBlock, IndexSet, TokenGrid, index_set, validate_chain
+from .grid import ActiveBlock, IndexSet, TokenGrid, index_set
 from .interp import lift
 from .schedule import StageSchedule, initial_selector
 from .transition import TransitionRecord, apply_transition
@@ -100,7 +100,6 @@ def run(
     counts = schedule.active_counts(n)
     state = initial_noise(shape, seed).data  # (n, d), owned here
     active = initial_selector(h, w, counts[0], seed)
-    chain = [active]
     boundaries = set(schedule.transition_steps)
     stage = 0
     steps: list[StepRecord] = []
@@ -114,7 +113,6 @@ def run(
             ring = transitions[-1].activated
             state[ring.indices] = transitions[-1].target_values.values
             active = index_set(n, np.concatenate([active.indices, ring.indices]))
-            chain.append(active)
             stage += 1
             rows = np.take(state, active.indices, axis=0)
         # the field gets a copy: what it does to its input cannot reach the rows
@@ -136,7 +134,6 @@ def run(
             state[active.indices] = rows
             snapshots.append((i + 1, TokenGrid(h, w, d, state.copy())))
     state[active.indices] = rows
-    validate_chain(chain)  # realized sets, coarsest first, dense last
     return RunReport(
         schedule_name=schedule.name,
         seed=seed,

@@ -24,18 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NestingError, ParameterError
+from .errors import ParameterError
 from .grid import ActiveBlock, IndexSet, TokenGrid, complement, gather
 from .importance import ImportanceMap, importance_map, top_tokens
 from .interp import lift
 
 
 def predict_clean(y: TokenGrid, t: float, v: TokenGrid) -> TokenGrid:
-    """One-step clean-data estimate y_hat(1) = y + (1 - t) * v."""
-    if not 0.0 <= t < 1.0:
-        raise ParameterError(f"t must lie in [0, 1), got {t}")
-    if v.shape != y.shape:
-        raise ParameterError(f"velocity shape {v.shape} != state shape {y.shape}")
+    """One-step clean-data estimate y_hat(1) = y + (1 - t) * v, for t in [0, 1)."""
     return y.with_data(y.data + v.data * np.float32(1.0 - t))
 
 
@@ -49,14 +45,9 @@ def dmf_target(
     """Micro-flow target on the ring: T * Phi + (1 - T) * noise.
 
     Phi is the anchor clean prediction lifted to the full grid, read off at
-    the ring positions.
+    the ring positions.  Precondition: ring is disjoint from anchors, noise
+    has the shape of y_hat, and t_boundary lies in [0, 1].
     """
-    if np.intersect1d(ring.indices, anchors.indices, assume_unique=True).size:
-        raise NestingError("ring overlaps the anchor set")
-    if noise.shape != y_hat.shape:
-        raise ParameterError("noise shape does not match state shape")
-    if not 0.0 <= t_boundary <= 1.0:
-        raise ParameterError(f"t_boundary must lie in [0, 1], got {t_boundary}")
     phi = lift(gather(y_hat, anchors), anchors, y_hat.shape)
     w = np.float32(t_boundary)
     phi_ring = np.take(phi.data, ring.indices, axis=0)
@@ -109,12 +100,11 @@ def apply_transition(
     The importance map of the full-grid velocity at time t ranks the
     inactive candidates; the winners get the micro-flow target built from
     the Tweedie prediction of state and from their own rows of state as
-    the noise.  Precondition: the inactive rows of state, and so the ring
-    rows, still hold their initial noise.  No input is modified, and the
+    the noise.  Preconditions: 1 <= new_count <= the number of inactive
+    tokens, t lies in [0, 1), and the inactive rows of state, and so the
+    ring rows, still hold their initial noise.  No input is modified, and the
     record shares no memory with them; the caller seats the targets.
     """
-    if new_count < 1:
-        raise ParameterError(f"new_count must be >= 1, got {new_count}")
     imap = importance_map(velocity)
     ring = top_tokens(imap, complement(active), new_count)
     target = dmf_target(predict_clean(state, t, velocity), active, ring, t_boundary, state)

@@ -24,6 +24,12 @@ SMALL = {
     "seed": 7,
 }
 
+# a child process fails on the warnings that pyproject's filterwarnings names
+STRICT_WARNINGS = (
+    "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+    "-W", "error::PendingDeprecationWarning", "-W", "error::FutureWarning",
+)
+
 
 def test_schedule_preset_table(capsys):
     assert main(["schedule", "--preset", "jit4x"]) == 0
@@ -342,7 +348,7 @@ def test_unknown_config_keys_warn_on_stderr(tmp_path, capsys):
 
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "jitflow.cli",
+        [sys.executable, *STRICT_WARNINGS, "-m", "jitflow.cli",
          "schedule", "--preset", "vanilla7"],
         capture_output=True, text=True,
     )
@@ -354,7 +360,7 @@ def test_import_loads_no_scipy():
     # scipy is imported inside the functions that use it, so a run that needs
     # none of them (a dense uniform schedule) never pays for loading it
     proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-c",
+        [sys.executable, *STRICT_WARNINGS, "-c",
          "import jitflow, sys; assert not any(m.startswith('scipy') for m in sys.modules)"],
         capture_output=True, text=True,
     )

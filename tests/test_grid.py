@@ -17,7 +17,6 @@ from jitflow.grid import (
     gather,
     index_set,
     ring,
-    validate_chain,
 )
 
 
@@ -114,19 +113,6 @@ def test_complement_and_subset_equal_brute_force(n, data):
     assert sb.is_subset_of(sa) == (b <= a)
     assert sa.is_subset_of(IndexSet(n, sorted(a | b)))
     assert not sa.is_subset_of(IndexSet(n + 1, sorted(a)))
-
-
-def test_validate_chain_examples():
-    ok = [index_set(4, [0, 2]), full_set(4)]
-    validate_chain(ok)
-    with pytest.raises(NestingError):
-        validate_chain([index_set(6, [0, 5]), index_set(6, [0, 1, 2, 3])])
-    with pytest.raises(NestingError):
-        validate_chain([full_set(4), full_set(4)])
-    with pytest.raises(NestingError):
-        validate_chain([index_set(4, [0, 1, 2])])  # last not full
-    with pytest.raises(NestingError):
-        validate_chain([])
 
 
 @st.composite

@@ -469,6 +469,22 @@ def test_replay_manifest_entry_errors(tmp_path, edit, message):
         load_replay(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda raw: raw[:-3],  # truncated payload
+        lambda raw: raw[:-4] + struct.pack("<f", float("nan")),  # NaN value
+    ],
+    ids=["truncated", "nan"],
+)
+def test_replay_corrupt_block_names_its_entry(tmp_path, corrupt):
+    replay_tape(tmp_path)
+    block = tmp_path / "block_0000.jitg"
+    block.write_bytes(corrupt(block.read_bytes()))
+    with pytest.raises(FormatError, match="replay entry 0: cannot read 'block_0000.jitg'"):
+        load_replay(tmp_path)
+
+
 @pytest.mark.parametrize("doc", [[], {}, {"entries": {}}, {"entries": [7]}])
 def test_replay_manifest_shape_errors(tmp_path, doc):
     manifest = replay_tape(tmp_path)

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from jitflow.cost import CostModel
-from jitflow.errors import FieldContractError, ParameterError
+from jitflow.errors import FieldContractError, ParameterError, ScheduleError
 from jitflow.fileio import canonical_json, report_to_dict
 from jitflow.fields import (
     GaussianFlowField,
@@ -16,7 +18,7 @@ from jitflow import interp, sampler
 from jitflow.grid import ActiveBlock, TokenGrid, complement, gather, index_set
 from jitflow.rng import UniformStream
 from jitflow.sampler import RunOptions, run
-from jitflow.schedule import initial_selector, preset_schedule
+from jitflow.schedule import StageSchedule, StageSpec, initial_selector, preset_schedule
 from jitflow.transition import dmf_target, predict_clean
 
 
@@ -241,6 +243,40 @@ def test_run_snapshots_step_anchor_rows_and_keep_inactive_rows_seated():
             idle = complement(active).indices
             assert np.array_equal(snap.data[idle], noise[idle])
     assert np.array_equal(report.snapshots[-1][1].data, report.endpoint.data)
+
+
+@st.composite
+def staged_schedules(draw):
+    """1-4 stages of 1-3 steps, sparsities strictly increasing to 1.0."""
+    k = draw(st.integers(1, 4))
+    spars = draw(st.lists(st.floats(0.01, 0.99), min_size=k - 1, max_size=k - 1, unique=True))
+    steps = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    return StageSchedule(tuple(StageSpec(s, p) for s, p in zip(steps, sorted(spars) + [1.0])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(staged_schedules(), st.integers(1, 12), st.integers(1, 12), st.sampled_from([1, 2]),
+       st.integers(0, 2**32 - 1))
+def test_run_stage_sets_are_nested_and_end_dense(schedule, h, w, d, seed):
+    # each ring is disjoint from the set it joins, the rings and the initial
+    # set cover the grid, and every step runs its stage's count
+    n = h * w
+    try:
+        counts = schedule.active_counts(n)
+    except ScheduleError:
+        assume(False)
+    shape = (h, w, d)
+    report = run(schedule, bump_field(shape, 0.5), shape, seed)
+    covered = initial_selector(h, w, counts[0], seed).mask()
+    assert len(report.transitions) == len(counts) - 1
+    for k, rec in enumerate(report.transitions):
+        assert not np.any(covered[rec.activated.indices])
+        assert len(rec.activated) == counts[k + 1] - counts[k]
+        covered[rec.activated.indices] = True
+    assert np.all(covered)
+    assert [s.m for s in report.steps] == [counts[s.stage] for s in report.steps]
+    assert [s.stage for s in report.steps] == [
+        k for k, spec in enumerate(schedule.stages) for _ in range(spec.steps)]
 
 
 def test_run_lifts_only_before_stage_boundaries(monkeypatch):

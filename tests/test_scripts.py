@@ -8,16 +8,20 @@ from pathlib import Path
 from jitflow import PRESETS
 
 ROOT = Path(__file__).resolve().parents[1]
+# a child process fails on the warnings that pyproject's filterwarnings names
+STRICT_WARNINGS = (
+    "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+    "-W", "error::PendingDeprecationWarning", "-W", "error::FutureWarning",
+)
 
 
 def run_script(*args):
-    # the child turns RuntimeWarnings into errors, as pytest does in-process
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "scripts" / args[0]),
+        [sys.executable, *STRICT_WARNINGS, str(ROOT / "scripts" / args[0]),
          *args[1:]],
         capture_output=True, text=True, env=env, timeout=300,
     )
