@@ -1,12 +1,19 @@
-"""Bit-exact file formats: grid binaries, PGM heatmaps, JSON, CSV.
+"""Bit-exact file formats: grid binaries, PGM heatmaps, JSON, CSV, replay tapes.
 
-Every writer is byte-deterministic for a fixed input (sorted JSON keys,
-round-trip float repr, atomic temp-file writes), so identical runs produce
-identical files.
+Every writer is byte-deterministic for a fixed input (atomic temp-file
+writes), so identical runs produce identical files.
 
 Grid binary layout ("JITG"): 4 ASCII magic bytes, then four little-endian
 uint32 words (version=1, h_tok, w_tok, d), then h*w*d little-endian float32
 values, token-row-major then channel.
+
+Canonical JSON is the text of json.dumps(doc, sort_keys=True, indent=2)
+plus "\n": sorted keys, ASCII escapes, floats via repr.
+
+Replay tape: a directory with manifest.json, canonical JSON of
+{"entries": [{"file", "indices", "t"}, ...]} sorted by t, then by the
+int64 bytes of the indices, and one block_NNNN.jitg per entry holding the
+values on its m indices as a 1 x m x d JITG grid.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import os
 import struct
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -51,8 +59,8 @@ def _atomic_write(path, payload: bytes) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), _FILE_MODE)
             fh.write(payload)
-        os.chmod(tmp, _FILE_MODE)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -101,7 +109,65 @@ def write_pgm(imap: ImportanceMap, path) -> None:
 
 
 def canonical_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The text of json.dumps(doc, sort_keys=True, indent=2) plus "\\n".
+
+    json.dumps runs its pure-Python encoder whenever indent is set; this
+    builds the same text from json's C pieces. Dicts need str keys.
+    """
+    return _encode(doc, "\n") + "\n"
+
+
+# json's spellings of the floats that have no repr in JSON
+_FLOAT_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _FLOAT_SPELLING.get(text, text)
+
+
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+# json's C encoder: one line, items separated by ", "
+_one_line = json.JSONEncoder().encode
+
+
+def _encode(value, pad: str) -> str:
+    """value as indented JSON; pad is the newline and indent of value's line."""
+    text = _SCALAR_TEXT.get(type(value))
+    if text is not None:
+        return text(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        if type(value[0]) in _SCALAR_TEXT:
+            # all scalars, and no string holds ", ", "[" or "{": each ", " splits two items
+            line = _one_line(value)
+            if (line.count(", ") == len(value) - 1
+                    and line.find("[", 1) < 0 and "{" not in line):
+                return "[" + inner + line[1:-1].replace(", ", "," + inner) + pad + "]"
+        return "[" + ",".join([inner + _encode(v, inner) for v in value]) + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        parts = []
+        for k, v in sorted(value.items()):
+            text = _SCALAR_TEXT.get(type(v))
+            parts.append(inner + encode_basestring_ascii(k) + ": "
+                         + (text(v) if text is not None else _encode(v, inner)))
+        return "{" + ",".join(parts) + pad + "}"
+    # subclasses of the scalar types, e.g. np.float64
+    for kind in (str, bool, int, float):
+        if isinstance(value, kind):
+            return _SCALAR_TEXT[kind](value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def write_config(path, cfg: RunConfig) -> None:
@@ -127,12 +193,16 @@ def read_config(path) -> tuple[RunConfig, list[str]]:
 
 
 def _stats(values: np.ndarray) -> dict:
+    """min, max, mean and rms of an array, in float64; the array is left unchanged."""
     v = np.asarray(values, dtype=np.float64)
+    mean = float(v.mean())
+    # asarray returns a float64 input uncopied: square in place only a copy
+    sq = v * v if np.may_share_memory(v, values) else np.multiply(v, v, out=v)
     return {
-        "min": float(v.min()),
-        "max": float(v.max()),
-        "mean": float(v.mean()),
-        "rms": float(np.sqrt(np.mean(v * v))),
+        "min": float(values.min()),  # exact: widening to float64 keeps the order
+        "max": float(values.max()),
+        "mean": mean,
+        "rms": float(np.sqrt(sq.mean())),
     }
 
 
@@ -235,9 +305,14 @@ def _manifest_entry(entry, pos: int) -> tuple[np.ndarray, float, str]:
     name, raw_indices, t = entry["file"], entry["indices"], entry["t"]
     if not isinstance(name, str) or Path(name).name != name or name in ("", ".."):
         raise FormatError(f"replay entry {pos}: file must be a bare file name")
-    if not (isinstance(raw_indices, list)
-            and all(type(i) is int and 0 <= i < 2**63 for i in raw_indices)):
+    indices = None
+    if isinstance(raw_indices, list) and {int}.issuperset(map(type, raw_indices)):
+        try:
+            indices = np.fromiter(raw_indices, np.int64, len(raw_indices))
+        except OverflowError:  # outside int64
+            pass
+    if indices is None or (indices.size and indices.min() < 0):
         raise FormatError(f"replay entry {pos}: indices must be a list of token indices")
     if isinstance(t, bool) or not isinstance(t, (int, float)) or abs(t) > sys.float_info.max:
         raise FormatError(f"replay entry {pos}: t must be a number")
-    return np.asarray(raw_indices, dtype=np.int64), float(t), name
+    return indices, float(t), name

@@ -20,6 +20,7 @@ from jitflow.fileio import (
     load_replay,
     read_config,
     read_grid,
+    report_to_dict,
     save_replay,
     write_config,
     write_grid,
@@ -409,11 +410,61 @@ def test_report_and_metrics_deterministic(tmp_path):
         assert float(cells[1]) == step.t and float(cells[4]) == step.cost
 
 
+def test_report_to_dict_leaves_the_report_unchanged():
+    report = small_report()
+    tr = report.transitions[0]
+    assert tr.importance_snapshot.scores.dtype == np.float64
+    arrays = [tr.importance_snapshot.scores, tr.target_values.values, report.endpoint.data]
+    before = [a.tobytes() for a in arrays]
+    first = report_to_dict(report)
+    assert [a.tobytes() for a in arrays] == before
+    assert report_to_dict(report) == first
+
+
 def test_canonical_json_is_sorted_and_newline_terminated():
     s = canonical_json({"b": 1, "a": [1.5, 2]})
     assert s.index('"a"') < s.index('"b"')
     assert s.endswith("\n")
     assert json.loads(s) == {"b": 1, "a": [1.5, 2]}
+
+
+# strings built from the characters the one-line list path must not misread
+JSON_TEXT = st.text(st.sampled_from(list(', []{}"\\/\x00\x1f\té\u2028\U0001f600ab')), max_size=6)
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | JSON_TEXT | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(JSON_TREES)
+@example(["a, b", 1])
+@example([1, "a, b"])
+@example(["[", 2])
+@example([1, "{"])
+@example(["}", "]"])
+@example(['say "hi"', "back\\slash"])
+@example(["é", "\u2028", "\U0001f600"])
+@example(["\x00", "\x1f", "\n"])
+@example([1, True, 2])
+@example([[1]])
+@example([{}])
+@example([[]])
+@example([1, [2, 3], {"a": [4, 5]}])
+@example({})
+@example(float("nan"))
+@example(float("-inf"))
+@example([float("nan"), float("inf"), -0.0])
+@example(-0.0)
+@example(1e300)
+@example(np.float64(0.1))
+@example([np.float64(0.1), 2])
+@example({"x": (1, 2), "y": np.float64(-0.0)})
+def test_canonical_json_is_json_dumps_text(doc):
+    assert canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def test_replay_tape_roundtrip(tmp_path):
@@ -458,6 +509,14 @@ def replay_tape(tmp_path):
         (lambda e: e.update(indices=[1, 5]), "holds 3 tokens"),
         (lambda e: e.update(file=["block_0000.jitg"]), "file"),
         (lambda e: e.update(file="../block_0000.jitg"), "file"),
+        # cases a vectorized check can pass: numpy turns a bool into int64,
+        # and 2**63 overflows int64
+        (lambda e: e.update(indices=[1, True, 9]), "indices must be a list of token indices"),
+        (lambda e: e.update(indices=[1.0, 5, 9]), "indices must be a list of token indices"),
+        (lambda e: e.update(indices=[-1, 5, 9]), "indices must be a list of token indices"),
+        (lambda e: e.update(indices=[2**63, 5, 9]), "indices must be a list of token indices"),
+        (lambda e: e.update(indices=[[1], 5, 9]), "indices must be a list of token indices"),
+        (lambda e: e.update(indices="159"), "indices must be a list of token indices"),
     ],
 )
 def test_replay_manifest_entry_errors(tmp_path, edit, message):
