@@ -24,8 +24,6 @@ from .rng import UniformStream, derive_seed
 class VelocityField(Protocol):
     """Evaluator u(active tokens, t) -> active-token velocities."""
 
-    descriptor: str
-
     def evaluate(self, block: ActiveBlock, active: IndexSet, t: float) -> ActiveBlock:
         ...
 
@@ -86,7 +84,6 @@ class GaussianFlowField:
         self._target = mu.data.astype(np.float64)  # (N, d), read by every call
         # a scalar stays a float, so evaluate's coefficient is one number
         self._sigma1 = sig if sig.ndim else float(sig)
-        self.descriptor = f"gaussian-flow(sigma1_mean={float(np.mean(sig)):g})"
 
     def evaluate(self, block: ActiveBlock, active: IndexSet, t: float) -> ActiveBlock:
         if (block.m != len(active) or block.d != self.mu.d
@@ -110,8 +107,6 @@ class ReplayField:
     With an inner field it records every evaluation; without one it replays
     the tape and (when strict) refuses unseen keys.
     """
-
-    descriptor = "replay"
 
     def __init__(self, inner: VelocityField | None = None, strict: bool = True):
         self.inner = inner

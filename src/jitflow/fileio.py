@@ -11,9 +11,12 @@ Canonical JSON is the text of json.dumps(doc, sort_keys=True, indent=2)
 plus "\n": sorted keys, ASCII escapes, floats via repr.
 
 Replay tape: a directory with manifest.json, canonical JSON of
-{"entries": [{"file", "indices", "t"}, ...]} sorted by t, then by the
-int64 bytes of the indices, and one block_NNNN.jitg per entry holding the
-values on its m indices as a 1 x m x d JITG grid.
+{"entries": [{"indices", "t"}, ...]} sorted by t, then by the int64 bytes
+of the indices, and values.jitg, a 1 x R x d JITG grid holding the
+entries' rows in entry order (no file for an empty tape).  save_replay
+removes the manifest first and writes it last, so a save cut short leaves
+a tape load_replay refuses.  Tapes of the older one-block-per-entry layout
+have no values.jitg and are refused.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, config_from_dict, config_to_dict
-from .errors import ConfigError, EngineError, FormatError
+from .errors import ConfigError, DimensionError, EngineError, FormatError
 from .fields import ReplayField
 from .grid import TokenGrid
 from .importance import ImportanceMap
@@ -252,24 +255,24 @@ def write_metrics_csv(path, report: RunReport) -> None:
 
 
 # ---------------------------------------------------------------------------
-# replay fixtures: JITG blocks keyed by a JSON manifest
+# replay tapes: one values grid keyed by a JSON manifest
 
 
 def save_replay(field: ReplayField, dirpath) -> None:
+    channels = {rows.shape[1] for rows in field.tape.values()}
+    if len(channels) > 1:
+        raise DimensionError(f"replay tape mixes channel counts {sorted(channels)}")
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
-    entries = []
+    (dirpath / "manifest.json").unlink(missing_ok=True)
     items = sorted(field.tape.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-    for pos, ((key, t), values) in enumerate(items):
-        name = f"block_{pos:04d}.jitg"
-        m, d = values.shape
-        write_grid(dirpath / name, TokenGrid(1, m, d, values))
-        indices = np.frombuffer(key, np.int64).tolist()
-        entries.append({"t": t, "indices": indices, "file": name})
-    _atomic_write(
-        dirpath / "manifest.json",
-        canonical_json({"entries": entries}).encode("utf-8"),
-    )
+    if items:
+        values = np.concatenate([rows for _, rows in items])
+        write_grid(dirpath / "values.jitg", TokenGrid(1, *values.shape, values))
+    entries = [{"t": t, "indices": np.frombuffer(key, np.int64).tolist()}
+               for (key, t), _ in items]
+    _atomic_write(dirpath / "manifest.json",
+                  canonical_json({"entries": entries}).encode("utf-8"))
 
 
 def load_replay(dirpath, strict: bool = True) -> ReplayField:
@@ -279,32 +282,29 @@ def load_replay(dirpath, strict: bool = True) -> ReplayField:
     if not isinstance(entries, list):
         raise FormatError("replay manifest needs an 'entries' list")
     field = ReplayField(strict=strict)
-    for pos, entry in enumerate(entries):
-        indices, t, name = _manifest_entry(entry, pos)
+    keys = [_manifest_entry(entry, pos) for pos, entry in enumerate(entries)]
+    if keys:
         try:
-            block = read_grid(dirpath / name)
-        # ValueError: a name the OS cannot encode; EngineError: a corrupt block file
-        except (OSError, ValueError, EngineError) as exc:
-            raise FormatError(f"replay entry {pos}: cannot read {name!r}: {exc}") from exc
-        if block.n_tokens != len(indices):
-            raise FormatError(
-                f"replay entry {pos}: {name} holds {block.n_tokens} tokens, "
-                f"manifest lists {len(indices)}"
-            )
-        field.tape[(indices.tobytes(), t)] = block.data
+            values = read_grid(dirpath / "values.jitg").data
+        except (OSError, EngineError) as exc:
+            raise FormatError(f"replay tape: cannot read 'values.jitg': {exc}") from exc
+        stops = np.cumsum([len(indices) for indices, _ in keys])
+        if len(values) != stops[-1]:
+            raise FormatError(f"replay tape: values.jitg holds {len(values)} tokens, "
+                              f"manifest lists {stops[-1]}")
+        for (indices, t), rows in zip(keys, np.split(values, stops[:-1])):
+            field.tape[(indices.tobytes(), t)] = rows
     return field
 
 
-def _manifest_entry(entry, pos: int) -> tuple[np.ndarray, float, str]:
-    """(indices, t, file name) of one manifest entry, or a FormatError."""
+def _manifest_entry(entry, pos: int) -> tuple[np.ndarray, float]:
+    """(indices, t) of one manifest entry, or a FormatError."""
     if not isinstance(entry, dict):
         raise FormatError(f"replay entry {pos} is not a JSON object")
-    missing = [k for k in ("file", "indices", "t") if k not in entry]
+    missing = [k for k in ("indices", "t") if k not in entry]
     if missing:
         raise FormatError(f"replay entry {pos} lacks {', '.join(missing)}")
-    name, raw_indices, t = entry["file"], entry["indices"], entry["t"]
-    if not isinstance(name, str) or Path(name).name != name or name in ("", ".."):
-        raise FormatError(f"replay entry {pos}: file must be a bare file name")
+    raw_indices, t = entry["indices"], entry["t"]
     indices = None
     if isinstance(raw_indices, list) and {int}.issuperset(map(type, raw_indices)):
         try:
@@ -313,6 +313,7 @@ def _manifest_entry(entry, pos: int) -> tuple[np.ndarray, float, str]:
             pass
     if indices is None or (indices.size and indices.min() < 0):
         raise FormatError(f"replay entry {pos}: indices must be a list of token indices")
-    if isinstance(t, bool) or not isinstance(t, (int, float)) or abs(t) > sys.float_info.max:
+    # NaN fails every comparison; inf and an int beyond float range fail this one
+    if isinstance(t, bool) or not isinstance(t, (int, float)) or not abs(t) <= sys.float_info.max:
         raise FormatError(f"replay entry {pos}: t must be a number")
-    return indices, float(t), name
+    return indices, float(t)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jitflow.config import MAX_STATE_VALUES, config_from_dict, config_to_dict
-from jitflow.errors import BudgetError, ConfigError, EngineError, FormatError
+from jitflow.errors import BudgetError, ConfigError, DimensionError, EngineError, FormatError
 from jitflow.fields import GaussianFlowField, ReplayField, initial_noise, make_target_image
 from jitflow import fileio
 from jitflow.fileio import (
@@ -479,11 +479,12 @@ def test_replay_tape_roundtrip(tmp_path):
     for a, t, want in zip(sets, (0.25, 0.5), outs):
         got = loaded.evaluate(gather(grid, a), a, t)
         assert np.array_equal(got.values, want.values)
-    # byte-deterministic save
+    # a tape is exactly two files, both byte-deterministic
     save_replay(rec, tmp_path / "tape2")
-    m1 = (tmp_path / "tape" / "manifest.json").read_bytes()
-    m2 = (tmp_path / "tape2" / "manifest.json").read_bytes()
-    assert m1 == m2
+    names = ["manifest.json", "values.jitg"]
+    assert sorted(p.name for p in (tmp_path / "tape").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "tape" / name).read_bytes() == (tmp_path / "tape2" / name).read_bytes()
     with pytest.raises(FormatError):
         (tmp_path / "tape" / "manifest.json").write_text("{oops", "utf-8")
         load_replay(tmp_path / "tape")
@@ -501,14 +502,14 @@ def replay_tape(tmp_path):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda e: e.pop("file"), "lacks file"),
         (lambda e: e.pop("indices"), "lacks indices"),
         (lambda e: e.pop("t"), "lacks t"),
         (lambda e: e.update(t="late"), "t must be a number"),
+        pytest.param(lambda e: e.update(t=float("nan")), "t must be a number", id="t-nan"),
         (lambda e: e.update(indices=[1, "x", 9]), "indices"),
         (lambda e: e.update(indices=[1, 5]), "holds 3 tokens"),
-        (lambda e: e.update(file=["block_0000.jitg"]), "file"),
-        (lambda e: e.update(file="../block_0000.jitg"), "file"),
+        pytest.param(lambda e: e.update(indices=[1, 5, 9, 12]),
+                     "values.jitg holds 3 tokens, manifest lists 4", id="rows-4"),
         # cases a vectorized check can pass: numpy turns a bool into int64,
         # and 2**63 overflows int64
         (lambda e: e.update(indices=[1, True, 9]), "indices must be a list of token indices"),
@@ -538,10 +539,55 @@ def test_replay_manifest_entry_errors(tmp_path, edit, message):
 )
 def test_replay_corrupt_block_names_its_entry(tmp_path, corrupt):
     replay_tape(tmp_path)
-    block = tmp_path / "block_0000.jitg"
-    block.write_bytes(corrupt(block.read_bytes()))
-    with pytest.raises(FormatError, match="replay entry 0: cannot read 'block_0000.jitg'"):
+    values = tmp_path / "values.jitg"
+    values.write_bytes(corrupt(values.read_bytes()))
+    with pytest.raises(FormatError, match="replay tape: cannot read 'values.jitg'"):
         load_replay(tmp_path)
+
+
+def test_replay_tape_of_the_block_per_entry_layout_is_refused(tmp_path):
+    manifest = replay_tape(tmp_path)
+    doc = json.loads(manifest.read_text("utf-8"))
+    doc["entries"][0]["file"] = "block_0000.jitg"
+    manifest.write_text(json.dumps(doc), "utf-8")
+    (tmp_path / "values.jitg").rename(tmp_path / "block_0000.jitg")
+    with pytest.raises(FormatError, match="cannot read 'values.jitg'"):
+        load_replay(tmp_path)
+
+
+def one_entry_tape(indices, t, value):
+    field = ReplayField()
+    key = (np.array(indices, np.int64).tobytes(), t)
+    field.tape[key] = np.full((len(indices), 1), value, np.float32)
+    return field
+
+
+def test_interrupted_replay_save_leaves_a_refused_tape(tmp_path, monkeypatch):
+    save_replay(one_entry_tape([0, 1], 0.5, 1.0), tmp_path)
+    atomic_write = fileio._atomic_write
+
+    def fail_at_manifest(path, payload):
+        if Path(path).name == "manifest.json":
+            raise OSError("interrupted")
+        atomic_write(path, payload)
+
+    monkeypatch.setattr(fileio, "_atomic_write", fail_at_manifest)
+    with pytest.raises(OSError, match="interrupted"):
+        save_replay(one_entry_tape([2, 3], 0.25, 2.0), tmp_path)
+    # the new values must not load under the old manifest's (indices, t) key
+    with pytest.raises(FormatError):
+        load_replay(tmp_path)
+
+
+def test_replay_save_refuses_mixed_channel_counts(tmp_path):
+    field = one_entry_tape([0, 1], 0.5, 1.0)
+    save_replay(field, tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    field.tape[(np.array([2], np.int64).tobytes(), 0.5)] = np.zeros((1, 3), np.float32)
+    with pytest.raises(DimensionError, match=r"mixes channel counts \[1, 3\]"):
+        save_replay(field, tmp_path)
+    # refused before the saved tape is touched
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 @pytest.mark.parametrize("doc", [[], {}, {"entries": {}}, {"entries": [7]}])
@@ -552,21 +598,17 @@ def test_replay_manifest_shape_errors(tmp_path, doc):
         load_replay(tmp_path)
 
 
-REPLAY_NAMES = st.sampled_from(
-    ["", ".", "..", "a/b", "/", "x\x00y", "\ud800", "absent.jitg", "manifest.json",
-     "block_0000.jitg", "n" * 300]
-) | st.text(max_size=6)
 # (kind, ...) edits applied in turn to a valid replay directory
 REPLAY_EDITS = st.one_of(
-    st.tuples(st.just("entry"), st.sampled_from(["file", "indices", "t"]),
-              REPLAY_NAMES | JSON_VALUES),
+    st.tuples(st.just("entry"), st.sampled_from(["indices", "t"]), JSON_VALUES),
     st.tuples(st.just("entries"), JSON_VALUES),
     st.tuples(st.just("doc"), JSON_VALUES),
     st.tuples(st.just("indices"), st.lists(st.integers(-2, 2**64), max_size=4)),
-    st.tuples(st.just("t"), st.sampled_from([10**400, -(10**400), 1e308, 0.5, True])),
+    st.tuples(st.just("t"),
+              st.sampled_from([10**400, -(10**400), 1e308, 0.5, True, float("nan")])),
     st.tuples(st.just("bytes"), st.integers(0, 200), st.binary(min_size=1, max_size=6)),
     st.tuples(st.just("nest"), st.sampled_from([b"[", b'{"entries": ['])),
-    st.tuples(st.just("path"), st.sampled_from(["manifest.json", "block_0000.jitg"]),
+    st.tuples(st.just("path"), st.sampled_from(["manifest.json", "values.jitg"]),
               st.sampled_from(["delete", "dir", "garbage"])),
 )
 
@@ -610,11 +652,10 @@ def _edit_replay(tape, kind, *args):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(REPLAY_EDITS, min_size=1, max_size=3))
-@example([("entry", "file", "")])
-@example([("entry", "file", "..")])
 @example([("path", "manifest.json", "delete")])
 @example([("path", "manifest.json", "dir")])
-@example([("path", "block_0000.jitg", "delete")])
+@example([("path", "values.jitg", "delete")])
+@example([("entries", [])])
 @example([("bytes", 0, b"\xff")])
 @example([("nest", b"[")])
 @example([("t", 10**400)])

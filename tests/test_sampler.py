@@ -25,8 +25,6 @@ from jitflow.transition import dmf_target, predict_clean
 class CountingField:
     """Pass-through wrapper that records every (m, t) evaluation."""
 
-    descriptor = "counting"
-
     def __init__(self, inner):
         self.inner = inner
         self.calls = []
@@ -38,8 +36,6 @@ class CountingField:
 
 class BrokenField:
     """Misbehaves on the k-th call in a configurable way."""
-
-    descriptor = "broken"
 
     def __init__(self, inner, fail_at, mode):
         self.inner = inner
@@ -62,8 +58,6 @@ class BrokenField:
 class CachedField:
     """Returns one cached block per active-set size on every call."""
 
-    descriptor = "cached"
-
     def __init__(self):
         self.blocks = {}
 
@@ -76,8 +70,6 @@ class CachedField:
 
 class OverwritingField:
     """Evaluates its inner field, then overwrites the block it was handed."""
-
-    descriptor = "overwriting"
 
     def __init__(self, inner):
         self.inner = inner
