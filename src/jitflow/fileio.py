@@ -14,9 +14,9 @@ Replay tape: a directory with manifest.json, canonical JSON of
 {"entries": [{"indices", "t"}, ...]} sorted by t, then by the int64 bytes
 of the indices, and values.jitg, a 1 x R x d JITG grid holding the
 entries' rows in entry order (no file for an empty tape).  save_replay
-removes the manifest first and writes it last, so a save cut short leaves
-a tape load_replay refuses.  Tapes of the older one-block-per-entry layout
-have no values.jitg and are refused.
+checks the values before it removes the manifest, and writes the manifest
+last, so a save cut short leaves a tape load_replay refuses.  Tapes of the
+older one-block-per-entry layout have no values.jitg and are refused.
 """
 
 from __future__ import annotations
@@ -262,13 +262,15 @@ def save_replay(field: ReplayField, dirpath) -> None:
     channels = {rows.shape[1] for rows in field.tape.values()}
     if len(channels) > 1:
         raise DimensionError(f"replay tape mixes channel counts {sorted(channels)}")
+    items = sorted(field.tape.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+    if items:  # TokenGrid refuses NaN and Inf before the saved tape is touched
+        values = np.concatenate([rows for _, rows in items])
+        grid = TokenGrid(1, *values.shape, values)
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
     (dirpath / "manifest.json").unlink(missing_ok=True)
-    items = sorted(field.tape.items(), key=lambda kv: (kv[0][1], kv[0][0]))
     if items:
-        values = np.concatenate([rows for _, rows in items])
-        write_grid(dirpath / "values.jitg", TokenGrid(1, *values.shape, values))
+        write_grid(dirpath / "values.jitg", grid)
     entries = [{"t": t, "indices": np.frombuffer(key, np.int64).tolist()}
                for (key, t), _ in items]
     _atomic_write(dirpath / "manifest.json",
@@ -283,6 +285,10 @@ def load_replay(dirpath, strict: bool = True) -> ReplayField:
         raise FormatError("replay manifest needs an 'entries' list")
     field = ReplayField(strict=strict)
     keys = [_manifest_entry(entry, pos) for pos, entry in enumerate(entries)]
+    positions: dict[tuple[bytes, float], int] = {}  # tape key -> entry, in entry order
+    for pos, (indices, t) in enumerate(keys):
+        if (seen := positions.setdefault((indices.tobytes(), t), pos)) != pos:
+            raise FormatError(f"replay entry {pos} repeats entry {seen}")
     if keys:
         try:
             values = read_grid(dirpath / "values.jitg").data
@@ -292,8 +298,7 @@ def load_replay(dirpath, strict: bool = True) -> ReplayField:
         if len(values) != stops[-1]:
             raise FormatError(f"replay tape: values.jitg holds {len(values)} tokens, "
                               f"manifest lists {stops[-1]}")
-        for (indices, t), rows in zip(keys, np.split(values, stops[:-1])):
-            field.tape[(indices.tobytes(), t)] = rows
+        field.tape.update(zip(positions, np.split(values, stops[:-1])))
     return field
 
 

@@ -104,11 +104,10 @@ def full_set(n_total: int) -> IndexSet:
 
 def index_set(n_total: int, indices) -> IndexSet:
     """Build an IndexSet from an unsorted, possibly duplicated collection."""
-    idx = np.sort(np.asarray(indices, dtype=np.int64), axis=None)
+    idx = np.unique(np.asarray(indices, dtype=np.int64))
     if idx.size == 0:
         raise DimensionError("index set must contain at least one index")
-    # drop equal neighbours: np.unique's hashing is many times slower
-    return IndexSet(n_total, idx[np.concatenate(([True], idx[1:] != idx[:-1]))])
+    return IndexSet(n_total, idx)
 
 
 @dataclass(frozen=True)

@@ -1,23 +1,19 @@
 """The staged sparse sampling loop.
 
-Each solver step evaluates the velocity field only on the active anchor
-tokens and takes an explicit Euler step on those rows alone, so a sparse
-step costs O(m) work.  The active rows are gathered once per stage into
-one contiguous block that the stage steps in place; the field always gets
-a copy of it.  The block is written back into the full state only where
-the full state is read: before the transition, at the stage boundary
-(before seating and gathering the next block), at snapshots and at the
-end.  Inactive rows keep their initial noise until they are seated, and
-every token is seated before the final, dense stage.  The step that
-closes a stage lifts its velocity to the full grid (exact on
-anchors, interpolated elsewhere) and makes the transition from its own
-state, before its Euler update: importance scores of the lifted velocity
+A run's state is its initial noise x0, which the loop never writes, plus
+one array of the active rows in token order; inactive tokens hold x0.
+Each solver step evaluates the field on a copy of the active rows and
+takes an explicit Euler step on those rows alone, so a sparse step costs
+O(m) work.  The step that closes a stage lifts its velocity to the full
+grid (exact on anchors, interpolated elsewhere) and, before its Euler
+update, makes the transition: importance scores of the lifted velocity
 pick the new tokens, and each gets the micro-flow target at the boundary
-time built from its own initial noise, which its still-inactive row holds.
-The first step of the next stage seats those targets and widens the
-active set.  A run draws only its initial noise and its selector, so it is
-a deterministic function of the two.  A single-stage dense schedule
-reduces bit-for-bit to plain Euler flow matching.
+time built from its own row of x0.  The next step merges those targets
+into the rows.  A snapshot is x0 with the rows scattered onto it; the
+endpoint is the rows of the final stage, which is dense.  A run draws only
+its initial noise and its selector, so it is a deterministic function of
+the two.  A single-stage dense schedule reduces bit-for-bit to plain
+Euler flow matching.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ import numpy as np
 from .cost import PUBLISHED_BASELINE_STEPS, CostModel, schedule_cost, step_cost
 from .errors import EngineError, FieldContractError
 from .fields import VelocityField, initial_noise
-from .grid import ActiveBlock, IndexSet, TokenGrid, index_set
+from .grid import ActiveBlock, IndexSet, TokenGrid
 from .interp import lift
 from .schedule import StageSchedule, initial_selector
 from .transition import TransitionRecord, apply_transition
@@ -98,23 +94,22 @@ def run(
     n = h * w
     ledger = schedule_cost(schedule, model, n, baseline_steps)
     counts = schedule.active_counts(n)
-    state = initial_noise(shape, seed).data  # (n, d), owned here
+    x0 = initial_noise(shape, seed)  # read, never written
     active = initial_selector(h, w, counts[0], seed)
     boundaries = set(schedule.transition_steps)
     stage = 0
     steps: list[StepRecord] = []
     transitions: list[TransitionRecord] = []
     snapshots: list[tuple[int, TokenGrid]] = []
-    rows = np.take(state, active.indices, axis=0)  # the stage's resident anchor rows
+    rows = np.take(x0.data, active.indices, axis=0)  # the state's active rows
     for i in range(schedule.nfe):
         t_i = float(schedule.timesteps[i])
         if i in boundaries:  # seat the targets the closing step built
-            state[active.indices] = rows  # the closing step's Euler update
-            ring = transitions[-1].activated
-            state[ring.indices] = transitions[-1].target_values.values
-            active = index_set(n, np.concatenate([active.indices, ring.indices]))
+            merged = np.concatenate([active.indices, transitions[-1].activated.indices])
+            order = np.argsort(merged)
+            rows = np.concatenate([rows, transitions[-1].target_values.values])[order]
+            active = IndexSet(n, merged[order])
             stage += 1
-            rows = np.take(state, active.indices, axis=0)
         # the field gets a copy: what it does to its input cannot reach the rows
         block = ActiveBlock(len(active), d, rows.copy())
         try:
@@ -123,24 +118,23 @@ def run(
             raise type(exc)(f"step {i}: {exc}") from exc
         steps.append(StepRecord(i, t_i, stage, len(active), step_cost(len(active), model)))
         if i + 1 in boundaries:  # this step closes its stage
-            state[active.indices] = rows
             transitions.append(apply_transition(
-                TokenGrid(h, w, d, state), active, lift(out, active, shape), t_i,
+                ActiveBlock(len(active), d, rows), active, lift(out, active, shape), x0, t_i,
                 float(schedule.timesteps[i + 1]), counts[stage + 1] - counts[stage],
                 i + 1, stage,
             ))
         rows += out.values * np.float32(schedule.timesteps[i + 1] - schedule.timesteps[i])
         if opts.snapshot_stride and (i + 1) % opts.snapshot_stride == 0:
-            state[active.indices] = rows
-            snapshots.append((i + 1, TokenGrid(h, w, d, state.copy())))
-    state[active.indices] = rows
+            snap = x0.data.copy()
+            snap[active.indices] = rows
+            snapshots.append((i + 1, TokenGrid(h, w, d, snap)))
     return RunReport(
         schedule_name=schedule.name,
         seed=seed,
         nfe=schedule.nfe,
         steps=tuple(steps),
         transitions=tuple(transitions),
-        endpoint=TokenGrid(h, w, d, state),
+        endpoint=TokenGrid(h, w, d, rows),  # the last stage is dense
         total_cost=ledger.total,
         baseline_cost=ledger.baseline_total,
         speedup_vs_baseline=ledger.speedup,

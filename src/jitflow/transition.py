@@ -30,13 +30,13 @@ from .importance import ImportanceMap, importance_map, top_tokens
 from .interp import lift
 
 
-def predict_clean(y: TokenGrid, t: float, v: TokenGrid) -> TokenGrid:
+def predict_clean(y: ActiveBlock, t: float, v: ActiveBlock) -> ActiveBlock:
     """One-step clean-data estimate y_hat(1) = y + (1 - t) * v, for t in [0, 1)."""
-    return y.with_data(y.data + v.data * np.float32(1.0 - t))
+    return ActiveBlock(y.m, y.d, y.values + v.values * np.float32(1.0 - t))
 
 
 def dmf_target(
-    y_hat: TokenGrid,
+    y_hat: ActiveBlock,
     anchors: IndexSet,
     ring: IndexSet,
     t_boundary: float,
@@ -44,11 +44,11 @@ def dmf_target(
 ) -> ActiveBlock:
     """Micro-flow target on the ring: T * Phi + (1 - T) * noise.
 
-    Phi is the anchor clean prediction lifted to the full grid, read off at
-    the ring positions.  Precondition: ring is disjoint from anchors, noise
-    has the shape of y_hat, and t_boundary lies in [0, 1].
+    Phi is the anchors' clean prediction y_hat lifted to the grid; Phi and
+    noise are read at the ring rows only.  Precondition: ring is disjoint
+    from anchors, and t_boundary lies in [0, 1].
     """
-    phi = lift(gather(y_hat, anchors), anchors, y_hat.shape)
+    phi = lift(y_hat, anchors, noise.shape)
     w = np.float32(t_boundary)
     phi_ring = np.take(phi.data, ring.indices, axis=0)
     noise_ring = np.take(noise.data, ring.indices, axis=0)
@@ -86,9 +86,10 @@ class TransitionRecord:
 
 
 def apply_transition(
-    state: TokenGrid,
+    anchors: ActiveBlock,
     active: IndexSet,
     velocity: TokenGrid,
+    noise: TokenGrid,
     t: float,
     t_boundary: float,
     new_count: int,
@@ -99,13 +100,13 @@ def apply_transition(
 
     The importance map of the full-grid velocity at time t ranks the
     inactive candidates; the winners get the micro-flow target built from
-    the Tweedie prediction of state and from their own rows of state as
-    the noise.  Preconditions: 1 <= new_count <= the number of inactive
-    tokens, t lies in [0, 1), and the inactive rows of state, and so the
-    ring rows, still hold their initial noise.  No input is modified, and the
-    record shares no memory with them; the caller seats the targets.
+    the Tweedie prediction of the anchors' rows and from their own rows of
+    the run's initial noise.  Preconditions: 1 <= new_count <= the number
+    of inactive tokens, and t lies in [0, 1).  No input is modified, and
+    the record shares no memory with them; the caller seats the targets.
     """
     imap = importance_map(velocity)
     ring = top_tokens(imap, complement(active), new_count)
-    target = dmf_target(predict_clean(state, t, velocity), active, ring, t_boundary, state)
+    y_hat = predict_clean(anchors, t, gather(velocity, active))
+    target = dmf_target(y_hat, active, ring, t_boundary, noise)
     return TransitionRecord(step_index, stage_from, stage_from + 1, ring, target, imap)

@@ -268,10 +268,12 @@ def test_criterion_10_dmf_statistics():
     chosen = index_set(16, [6, 9])
     t_b = 0.62
     zero = TokenGrid(4, 4, 1, np.zeros((16, 1), np.float32))
-    t_phi = dmf_target(y_hat, anchors, chosen, t_b, zero).values.astype(np.float64)
+    t_phi = dmf_target(
+        gather(y_hat, anchors), anchors, chosen, t_b, zero).values.astype(np.float64)
     n_draws = 10_000
     draws = np.stack([
-        dmf_target(y_hat, anchors, chosen, t_b, initial_noise(shape, seed=k)).values
+        dmf_target(gather(y_hat, anchors), anchors, chosen, t_b,
+                   initial_noise(shape, seed=k)).values
         for k in range(n_draws)
     ]).astype(np.float64)
     se = (1.0 - t_b) / np.sqrt(n_draws)

@@ -502,28 +502,30 @@ def replay_tape(tmp_path):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda e: e.pop("indices"), "lacks indices"),
-        (lambda e: e.pop("t"), "lacks t"),
-        (lambda e: e.update(t="late"), "t must be a number"),
-        pytest.param(lambda e: e.update(t=float("nan")), "t must be a number", id="t-nan"),
-        (lambda e: e.update(indices=[1, "x", 9]), "indices"),
-        (lambda e: e.update(indices=[1, 5]), "holds 3 tokens"),
-        pytest.param(lambda e: e.update(indices=[1, 5, 9, 12]),
+        (lambda e: e[0].pop("indices"), "lacks indices"),
+        (lambda e: e[0].pop("t"), "lacks t"),
+        (lambda e: e[0].update(t="late"), "t must be a number"),
+        pytest.param(lambda e: e[0].update(t=float("nan")), "t must be a number", id="t-nan"),
+        (lambda e: e[0].update(indices=[1, "x", 9]), "indices"),
+        (lambda e: e[0].update(indices=[1, 5]), "holds 3 tokens"),
+        pytest.param(lambda e: e[0].update(indices=[1, 5, 9, 12]),
                      "values.jitg holds 3 tokens, manifest lists 4", id="rows-4"),
         # cases a vectorized check can pass: numpy turns a bool into int64,
         # and 2**63 overflows int64
-        (lambda e: e.update(indices=[1, True, 9]), "indices must be a list of token indices"),
-        (lambda e: e.update(indices=[1.0, 5, 9]), "indices must be a list of token indices"),
-        (lambda e: e.update(indices=[-1, 5, 9]), "indices must be a list of token indices"),
-        (lambda e: e.update(indices=[2**63, 5, 9]), "indices must be a list of token indices"),
-        (lambda e: e.update(indices=[[1], 5, 9]), "indices must be a list of token indices"),
-        (lambda e: e.update(indices="159"), "indices must be a list of token indices"),
+        (lambda e: e[0].update(indices=[1, True, 9]), "indices must be a list of token indices"),
+        (lambda e: e[0].update(indices=[1.0, 5, 9]), "indices must be a list of token indices"),
+        (lambda e: e[0].update(indices=[-1, 5, 9]), "indices must be a list of token indices"),
+        (lambda e: e[0].update(indices=[2**63, 5, 9]), "indices must be a list of token indices"),
+        (lambda e: e[0].update(indices=[[1], 5, 9]), "indices must be a list of token indices"),
+        (lambda e: e[0].update(indices="159"), "indices must be a list of token indices"),
+        pytest.param(lambda e: e.append(dict(e[0])), "replay entry 1 repeats entry 0",
+                     id="repeated-entry"),
     ],
 )
 def test_replay_manifest_entry_errors(tmp_path, edit, message):
     manifest = replay_tape(tmp_path)
     doc = json.loads(manifest.read_text("utf-8"))
-    edit(doc["entries"][0])
+    edit(doc["entries"])
     manifest.write_text(json.dumps(doc), "utf-8")
     with pytest.raises(FormatError, match=message):
         load_replay(tmp_path)
@@ -577,6 +579,16 @@ def test_interrupted_replay_save_leaves_a_refused_tape(tmp_path, monkeypatch):
     # the new values must not load under the old manifest's (indices, t) key
     with pytest.raises(FormatError):
         load_replay(tmp_path)
+
+
+def test_replay_save_refusing_non_finite_values_keeps_the_saved_tape(tmp_path):
+    save_replay(one_entry_tape([0, 1], 0.5, 1.0), tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(DimensionError, match="NaN or Inf"):
+        save_replay(one_entry_tape([2, 3], 0.25, np.nan), tmp_path)
+    # refused before the saved tape is touched, so it still loads
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert list(load_replay(tmp_path).tape) == [(np.array([0, 1], np.int64).tobytes(), 0.5)]
 
 
 def test_replay_save_refuses_mixed_channel_counts(tmp_path):

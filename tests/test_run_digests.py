@@ -22,7 +22,10 @@ transitions began seating new tokens on their own initial noise instead of
 a fresh draw: every step before the first boundary and the first
 transition's activated set and importance scores were first checked equal
 to those of the previous code, and every seated target equal to dmf_target
-fed the initial noise; the vanilla12 digests did not change.
+fed the initial noise; the vanilla12 digests did not change.  All thirteen
+also pin the switch to a state kept as the initial noise plus one array of
+the active rows, with no full-state buffer and no write-backs: they passed
+unedited.
 """
 
 import hashlib

@@ -15,7 +15,7 @@ from jitflow.fields import (
     reference_solve,
 )
 from jitflow import interp, sampler
-from jitflow.grid import ActiveBlock, TokenGrid, complement, gather, index_set
+from jitflow.grid import ActiveBlock, complement, gather, index_set
 from jitflow.rng import UniformStream
 from jitflow.sampler import RunOptions, run
 from jitflow.schedule import StageSchedule, StageSpec, initial_selector, preset_schedule
@@ -190,6 +190,26 @@ def test_run_draws_one_normal_grid(monkeypatch):
     assert calls == [8 * 8 * 2]
 
 
+@pytest.mark.parametrize("preset", ["vanilla7", "jit4x"])
+def test_run_never_writes_its_initial_noise(monkeypatch, preset):
+    # the state is the initial noise plus the active rows: a read-only noise
+    # grid gives the same report, endpoint and snapshots as a writable one
+    def read_only_noise(shape, seed):
+        grid = initial_noise(shape, seed)
+        grid.data.setflags(write=False)
+        return grid
+
+    shape = (16, 16, 3)
+    opts = RunOptions(snapshot_stride=2)
+    clean = run(preset_schedule(preset), bump_field(shape, 0.5), shape, 5, opts)
+    monkeypatch.setattr(sampler, "initial_noise", read_only_noise)
+    frozen = run(preset_schedule(preset), bump_field(shape, 0.5), shape, 5, opts)
+    assert canonical_json(report_to_dict(frozen)) == canonical_json(report_to_dict(clean))
+    assert frozen.endpoint.data.tobytes() == clean.endpoint.data.tobytes()
+    assert [g.data.tobytes() for _, g in frozen.snapshots] == [
+        g.data.tobytes() for _, g in clean.snapshots]
+
+
 def test_run_snapshots():
     shape = (8, 8, 2)
     field = bump_field(shape, 0.5)
@@ -222,7 +242,7 @@ def test_run_snapshots_step_anchor_rows_and_keep_inactive_rows_seated():
         if k + 1 in schedule.transition_steps:
             rec = report.transitions[schedule.transition_steps.index(k + 1)]
             t = float(schedule.timesteps[k])
-            y_hat = predict_clean(TokenGrid(8, 8, 2, state), t, interp.lift(out, active, shape))
+            y_hat = predict_clean(z, t, gather(interp.lift(out, active, shape), active))
             want = dmf_target(y_hat, active, rec.activated,
                               float(schedule.timesteps[k + 1]), initial_noise(shape, seed))
             assert np.array_equal(rec.target_values.values, want.values)

@@ -5,7 +5,7 @@ import pytest
 
 from jitflow.errors import ParameterError
 from jitflow.fields import initial_noise
-from jitflow.grid import TokenGrid, index_set
+from jitflow.grid import ActiveBlock, TokenGrid, complement, gather, index_set
 from jitflow.transition import (
     apply_transition,
     dmf_target,
@@ -24,13 +24,17 @@ def const_grid(h, w, d, value):
 # predict_clean
 
 
+def const_block(m, d, value):
+    return ActiveBlock(m, d, np.full((m, d), value, dtype=np.float32))
+
+
 def test_predict_clean_formula():
-    y = const_grid(2, 2, 1, 0.5)
-    v = const_grid(2, 2, 1, 2.0)
+    y = const_block(4, 1, 0.5)
+    v = const_block(4, 1, 2.0)
     out = predict_clean(y, 0.75, v)
-    assert np.all(out.data == np.float32(0.5) + np.float32(2.0) * np.float32(0.25))
+    assert np.all(out.values == np.float32(0.5) + np.float32(2.0) * np.float32(0.25))
     # at t=0 the estimate is a full step: y + v
-    assert np.all(predict_clean(y, 0.0, v).data == np.float32(2.5))
+    assert np.all(predict_clean(y, 0.0, v).values == np.float32(2.5))
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +49,7 @@ def test_dmf_target_constant_prediction():
     ring = index_set(9, [1, 3])
     noise = initial_noise((3, 3, 2), seed=21)
     t_b = 0.62
-    out = dmf_target(y_hat, anchors, ring, t_b, noise)
+    out = dmf_target(gather(y_hat, anchors), anchors, ring, t_b, noise)
     w = np.float32(t_b)
     want = w * np.float32(1.5) + (np.float32(1.0) - w) * noise.data[ring.indices]
     assert np.array_equal(out.values, want)
@@ -58,10 +62,10 @@ def test_dmf_target_boundary_weights():
     noise = initial_noise((3, 3, 1), seed=3)
     # T=0: pure noise; T=1: pure prediction
     assert np.array_equal(
-        dmf_target(y_hat, anchors, ring, 0.0, noise).values,
+        dmf_target(gather(y_hat, anchors), anchors, ring, 0.0, noise).values,
         noise.data[ring.indices],
     )
-    assert np.all(dmf_target(y_hat, anchors, ring, 1.0, noise).values == -2.0)
+    assert np.all(dmf_target(gather(y_hat, anchors), anchors, ring, 1.0, noise).values == -2.0)
 
 
 def test_dmf_target_matches_path_marginal():
@@ -72,9 +76,9 @@ def test_dmf_target_matches_path_marginal():
     anchors = index_set(36, [0, 5, 7, 14, 21, 28, 30, 35])
     ring = index_set(36, [9, 16, 23])
     t_b = 0.5
-    phi_part = dmf_target(y_hat, anchors, ring, t_b, const_grid(6, 6, 1, 0.0))
+    phi_part = dmf_target(gather(y_hat, anchors), anchors, ring, t_b, const_grid(6, 6, 1, 0.0))
     draws = np.stack([
-        dmf_target(y_hat, anchors, ring, t_b, initial_noise(shape, seed=k)).values
+        dmf_target(gather(y_hat, anchors), anchors, ring, t_b, initial_noise(shape, seed=k)).values
         - phi_part.values
         for k in range(3000)
     ]).astype(np.float64)  # (3000, 3, 1) of (1 - T) * eps
@@ -154,9 +158,10 @@ def test_apply_transition_leaves_inputs_unchanged():
     # run steps its state in place right after the call, so the record must
     # not alias any input array
     state, active, velocity = transition_inputs()
-    before = [a.copy() for a in (state.data, velocity.data)]
-    record = apply_transition(state, active, velocity, 0.3, 0.35, 5, 7, 0)
-    for arr, want in zip((state.data, velocity.data), before):
+    anchors = gather(state, active)
+    before = [a.copy() for a in (anchors.values, state.data, velocity.data)]
+    record = apply_transition(anchors, active, velocity, state, 0.3, 0.35, 5, 7, 0)
+    for arr, want in zip((anchors.values, state.data, velocity.data), before):
         assert np.array_equal(arr, want)
         for part in (record.activated.indices, record.target_values.values,
                      record.importance_snapshot.scores):
@@ -166,7 +171,8 @@ def test_apply_transition_leaves_inputs_unchanged():
     # activated tokens came from the inactive pool
     assert not np.intersect1d(record.activated.indices, active.indices).size
     # the targets' noise is the activated tokens' own rows of state
-    want = dmf_target(predict_clean(state, 0.3, velocity), active, record.activated, 0.35, state)
+    want = dmf_target(predict_clean(anchors, 0.3, gather(velocity, active)), active,
+                      record.activated, 0.35, state)
     assert np.array_equal(record.target_values.values, want.values)
 
 
@@ -175,7 +181,7 @@ def test_apply_transition_picks_most_important_tokens():
     scores = windowed_variance_scores(velocity.data.reshape(4, 4, 1).astype(np.float64), 3)
     inactive = np.setdiff1d(np.arange(16), active.indices)
     want = inactive[np.argsort(-scores[inactive], kind="stable")[:4]]
-    record = apply_transition(state, active, velocity, 0.3, 0.35, 4, 7, 0)
+    record = apply_transition(gather(state, active), active, velocity, state, 0.3, 0.35, 4, 7, 0)
     assert sorted(record.activated.indices.tolist()) == sorted(want.tolist())
 
 
@@ -184,8 +190,9 @@ def test_apply_transition_at_unit_boundary_uses_pure_prediction():
     # and the prediction equals the (constant) state
     shape = (4, 4, 1)
     active = index_set(16, [0, 1, 2, 3])
+    state = const_grid(4, 4, 1, 0.8)
     record = apply_transition(
-        const_grid(4, 4, 1, 0.8), active, const_grid(4, 4, 1, 0.0), 0.9, 1.0, 3, 10, 1
+        gather(state, active), active, const_grid(4, 4, 1, 0.0), state, 0.9, 1.0, 3, 10, 1
     )
     assert record.activated.indices.tolist() == [4, 5, 6]
     assert np.all(record.target_values.values == np.float32(0.8))
@@ -193,7 +200,25 @@ def test_apply_transition_at_unit_boundary_uses_pure_prediction():
 
 def test_apply_transition_deterministic():
     state, active, velocity = transition_inputs()
-    a = apply_transition(state, active, velocity, 0.3, 0.35, 5, 7, 0)
-    b = apply_transition(state, active, velocity, 0.3, 0.35, 5, 7, 0)
+    a = apply_transition(gather(state, active), active, velocity, state, 0.3, 0.35, 5, 7, 0)
+    b = apply_transition(gather(state, active), active, velocity, state, 0.3, 0.35, 5, 7, 0)
     assert np.array_equal(a.activated.indices, b.activated.indices)
     assert np.array_equal(a.target_values.values, b.target_values.values)
+
+
+def test_apply_transition_reads_noise_only_at_ring_rows():
+    # the anchors come from their rows, not from the noise grid, so other
+    # finite values at every row outside the ring leave the record unchanged
+    state, active, velocity = transition_inputs(seed=5)
+    anchors = gather(state, active)
+    record = apply_transition(anchors, active, velocity, state, 0.3, 0.35, 5, 7, 0)
+    other = state.data * np.float32(-3.0) + np.float32(7.0)
+    other[record.activated.indices] = state.data[record.activated.indices]
+    idle = np.setdiff1d(complement(active).indices, record.activated.indices)
+    for rows in (active.indices, idle):
+        assert rows.size and not np.any(other[rows] == state.data[rows])
+    again = apply_transition(anchors, active, velocity, state.with_data(other),
+                             0.3, 0.35, 5, 7, 0)
+    assert np.array_equal(again.activated.indices, record.activated.indices)
+    assert np.array_equal(again.target_values.values, record.target_values.values)
+    assert np.array_equal(again.importance_snapshot.scores, record.importance_snapshot.scores)
