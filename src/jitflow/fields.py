@@ -15,9 +15,10 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .errors import FieldContractError, ParameterError
+from .errors import BudgetError, FieldContractError, ParameterError
 from .grid import ActiveBlock, IndexSet, TokenGrid, full_set, gather
 from .rng import UniformStream, derive_seed
+from .schedule import MAX_STEPS
 
 
 @runtime_checkable
@@ -189,6 +190,8 @@ def reference_solve(
     """
     if n_fine_steps < 1:
         raise ParameterError(f"n_fine_steps must be >= 1, got {n_fine_steps}")
+    if n_fine_steps > MAX_STEPS:
+        raise BudgetError(f"n_fine_steps {n_fine_steps} above the limit of {MAX_STEPS}")
     grid = initial_noise(shape, seed)
     everything = full_set(grid.n_tokens)
     dt = 1.0 / n_fine_steps

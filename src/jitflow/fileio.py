@@ -25,7 +25,6 @@ import json
 import os
 import struct
 import sys
-import tempfile
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -42,27 +41,19 @@ _MAGIC = b"JITG"
 _HEADER = struct.Struct("<4sIIII")
 
 
-def _process_umask() -> int:
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
-# mkstemp creates files 0600; give outputs the mode a plain open() would
-_FILE_MODE = 0o666 & ~_process_umask()
-
-
 def _atomic_write(path, payload: bytes) -> None:
     """Write through a temp file unique to this call, then rename over path.
 
-    Concurrent writers to one path each rename a complete file, so the
-    last rename wins and no reader sees a mix of two payloads.
+    The temp file is created with mode 0o666, so the kernel applies the
+    process umask as for a plain open().  Concurrent writers to one path
+    each rename a complete file, so the last rename wins and no reader sees
+    a mix of two payloads.
     """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            os.fchmod(fh.fileno(), _FILE_MODE)
             fh.write(payload)
         os.replace(tmp, path)
     except BaseException:

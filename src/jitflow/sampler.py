@@ -4,13 +4,13 @@ A run's state is its initial noise x0, which the loop never writes, plus
 one array of the active rows in token order; inactive tokens hold x0.
 Each solver step evaluates the field on a copy of the active rows and
 takes an explicit Euler step on those rows alone, so a sparse step costs
-O(m) work.  The step that closes a stage lifts its velocity to the full
-grid (exact on anchors, interpolated elsewhere) and, before its Euler
-update, makes the transition: importance scores of the lifted velocity
-pick the new tokens, and each gets the micro-flow target at the boundary
-time built from its own row of x0.  The next step merges those targets
-into the rows.  A snapshot is x0 with the rows scattered onto it; the
-endpoint is the rows of the final stage, which is dense.  A run draws only
+O(m) work.  The step that closes a stage hands its velocity block to the
+transition before its Euler update: the transition picks the new tokens,
+and each gets the micro-flow target at the boundary time built from its
+own row of x0.  The next step merges those targets into the rows.  No
+full-grid array is built but x0, the opt-in snapshots and the endpoint:
+a snapshot is x0 with the rows scattered onto it, and the endpoint is
+the rows of the final stage, which is dense.  A run draws only
 its initial noise and its selector, so it is a deterministic function of
 the two.  A single-stage dense schedule reduces bit-for-bit to plain
 Euler flow matching.
@@ -26,7 +26,6 @@ from .cost import PUBLISHED_BASELINE_STEPS, CostModel, schedule_cost, step_cost
 from .errors import EngineError, FieldContractError
 from .fields import VelocityField, initial_noise
 from .grid import ActiveBlock, IndexSet, TokenGrid
-from .interp import lift
 from .schedule import StageSchedule, initial_selector
 from .transition import TransitionRecord, apply_transition
 
@@ -119,7 +118,7 @@ def run(
         steps.append(StepRecord(i, t_i, stage, len(active), step_cost(len(active), model)))
         if i + 1 in boundaries:  # this step closes its stage
             transitions.append(apply_transition(
-                ActiveBlock(len(active), d, rows), active, lift(out, active, shape), x0, t_i,
+                ActiveBlock(len(active), d, rows), out, active, x0, t_i,
                 float(schedule.timesteps[i + 1]), counts[stage + 1] - counts[stage],
                 i + 1, stage,
             ))

@@ -47,6 +47,11 @@ def beta_timesteps(n_steps: int, a: float, b: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # stage schedules
 
+# a schedule (or an oracle solve) of more solver steps than this is refused:
+# `jitflow sample` with a report and CSV peaks at 206 MB here, about 790
+# bytes per step (tracemalloc, a dense 1x1x1 run of exactly this many steps)
+MAX_STEPS = 1 << 18
+
 
 @dataclass(frozen=True)
 class StageSpec:
@@ -80,6 +85,10 @@ class StageSchedule:
         object.__setattr__(self, "stages", tuple(self.stages))
         if not self.stages:
             raise ScheduleError("schedule needs at least one stage")
+        if self.nfe > MAX_STEPS:
+            raise BudgetError(
+                f"schedule has {self.nfe} solver steps, above the limit of {MAX_STEPS}"
+            )
         # the warp first, so a collapsing alpha/beta is named before any stage fault
         object.__setattr__(self, "timesteps", beta_timesteps(self.nfe, self.alpha, self.beta))
         spars = [s.sparsity for s in self.stages]
@@ -168,8 +177,6 @@ def initial_selector(h_tok: int, w_tok: int, budget: int, seed: int) -> IndexSet
     if budget == n:
         return full_set(n)
     base = base_selector_indices(h_tok, w_tok)
-    if len(base) == budget:
-        return IndexSet(n, base)
     stream = UniformStream(derive_seed(seed, "selector"))
     member = np.zeros(n, dtype=bool)
     member[base] = True

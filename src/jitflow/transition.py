@@ -15,7 +15,9 @@ z' = (y* - z) / (T - t) would carry old values onto the target over a short
 window; its closed form reaches y* exactly at t = T, so the engine assigns
 the target directly and the flow exists as a tested equivalence.
 apply_transition only builds the record (new tokens, targets, importance
-map); the sampling loop seats the targets at the boundary step.
+map) from the anchors' rows and velocity block, lifting the velocity for
+the importance map alone; the sampling loop seats the targets at the
+boundary step.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .grid import ActiveBlock, IndexSet, TokenGrid, complement, gather
+from .grid import ActiveBlock, IndexSet, TokenGrid, complement
 from .importance import ImportanceMap, importance_map, top_tokens
 from .interp import lift
 
@@ -79,16 +81,19 @@ class TransitionRecord:
 
     step_index: int  # the solver step that seats the targets
     stage_from: int
-    stage_to: int
     activated: IndexSet
     target_values: ActiveBlock
     importance_snapshot: ImportanceMap
 
+    @property
+    def stage_to(self) -> int:
+        return self.stage_from + 1
+
 
 def apply_transition(
     anchors: ActiveBlock,
+    velocity: ActiveBlock,
     active: IndexSet,
-    velocity: TokenGrid,
     noise: TokenGrid,
     t: float,
     t_boundary: float,
@@ -98,15 +103,16 @@ def apply_transition(
 ) -> TransitionRecord:
     """Choose new_count tokens to activate at t_boundary and their targets.
 
-    The importance map of the full-grid velocity at time t ranks the
-    inactive candidates; the winners get the micro-flow target built from
-    the Tweedie prediction of the anchors' rows and from their own rows of
+    anchors and velocity are the state's and the velocity's active rows at
+    time t.  The importance map of the lifted velocity ranks the inactive
+    candidates; the winners get the micro-flow target built from the
+    Tweedie prediction of the anchors' rows and from their own rows of
     the run's initial noise.  Preconditions: 1 <= new_count <= the number
     of inactive tokens, and t lies in [0, 1).  No input is modified, and
     the record shares no memory with them; the caller seats the targets.
     """
-    imap = importance_map(velocity)
+    imap = importance_map(lift(velocity, active, noise.shape))
     ring = top_tokens(imap, complement(active), new_count)
-    y_hat = predict_clean(anchors, t, gather(velocity, active))
+    y_hat = predict_clean(anchors, t, velocity)
     target = dmf_target(y_hat, active, ring, t_boundary, noise)
-    return TransitionRecord(step_index, stage_from, stage_from + 1, ring, target, imap)
+    return TransitionRecord(step_index, stage_from, ring, target, imap)

@@ -332,6 +332,29 @@ def test_oversized_shape_exits_with_one_budget_error_line(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: BudgetError: shape ")
 
 
+@pytest.mark.parametrize("steps", [10**15, 1e300], ids=["int", "float"])
+@pytest.mark.parametrize("command", ["schedule", "sample"])
+def test_huge_step_count_exits_with_one_budget_error_line(tmp_path, capsys, command, steps):
+    # refused before the warp allocates its steps + 1 timesteps
+    doc = {key: value for key, value in SMALL.items() if key != "preset"}
+    cfg = write_cfg(tmp_path, {**doc, "schedule": {"stages": [[steps, 1.0]]}})
+    assert main([command, "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: BudgetError: schedule has {int(steps)} solver steps")
+
+
+def test_huge_fine_step_count_exits_with_one_budget_error_line(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SMALL)
+    assert main(["oracle-compare", "--config", cfg, "--fine-steps", str(10**15)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: BudgetError: n_fine_steps ")
+
+
 def test_empty_preset_name_exits_with_one_error_line(capsys):
     assert main(["schedule", "--preset", ""]) == 1
     captured = capsys.readouterr()

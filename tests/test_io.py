@@ -3,6 +3,8 @@
 import json
 import os
 import struct
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -712,6 +714,25 @@ def test_concurrent_writers_to_one_path(tmp_path):
     assert errors == []
     assert target.read_bytes() in payloads  # one whole payload, never a mix
     assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]  # no temp files left
+
+
+def test_atomic_write_gets_umask_without_touching_it(tmp_path):
+    # changing the umask and back, even briefly, would give a file another
+    # thread creates in that window no umask; the kernel applies it instead
+    script = (
+        "import os, sys\n"
+        "os.umask(0o027)\n"
+        "def refuse(mask):\n"
+        "    raise AssertionError('os.umask called')\n"
+        "os.umask = refuse\n"
+        "from jitflow import fileio\n"
+        "fileio._atomic_write(sys.argv[1], b'abc')\n"
+    )
+    target = tmp_path / "out.bin"
+    proc = subprocess.run([sys.executable, "-c", script, str(target)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert target.stat().st_mode & 0o777 == 0o640
 
 
 def test_atomic_write_mode_and_cleanup_on_failure(tmp_path, monkeypatch):

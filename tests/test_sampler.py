@@ -14,7 +14,7 @@ from jitflow.fields import (
     make_target_image,
     reference_solve,
 )
-from jitflow import interp, sampler
+from jitflow import interp, sampler, transition
 from jitflow.grid import ActiveBlock, complement, gather, index_set
 from jitflow.rng import UniformStream
 from jitflow.sampler import RunOptions, run
@@ -292,19 +292,20 @@ def test_run_stage_sets_are_nested_and_end_dense(schedule, h, w, d, seed):
 
 
 def test_run_lifts_only_before_stage_boundaries(monkeypatch):
-    # a jit4x run lifts once per sparse stage, at the step the transition
-    # reads, and builds one owner map per sparse set (dmf_target reuses it)
+    # a jit4x run lifts only inside its two transitions: the closing step's
+    # velocity, then the clean prediction, and builds one owner map per
+    # sparse set (the second lift reuses it)
     lifted = []
 
     def counting_lift(block, active, shape):
         lifted.append(len(active))
         return interp.lift(block, active, shape)
 
-    monkeypatch.setattr(sampler, "lift", counting_lift)
+    monkeypatch.setattr(transition, "lift", counting_lift)
     interp._cached_owner_map.cache_clear()
     shape = (16, 16, 3)
     report = run(preset_schedule("jit4x"), bump_field(shape, 0.5), shape, seed=11)
-    assert lifted == [90, 159]
+    assert lifted == [90, 90, 159, 159]
     assert [rec.step_index for rec in report.transitions] == [7, 11]
     cache = interp._cached_owner_map.cache_info()
     assert (cache.misses, cache.hits) == (2, 2)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from jitflow.errors import BudgetError, ParameterError, ScheduleError
 from jitflow.rng import UniformStream, derive_seed
 from jitflow.schedule import (
+    MAX_STEPS,
     StageSchedule,
     StageSpec,
     base_selector_indices,
@@ -115,6 +116,14 @@ def test_build_schedule_validation():
         StageSpec(0, 1.0)
     with pytest.raises(ScheduleError):
         StageSpec(3, 0.0)
+
+
+def test_schedule_refuses_step_totals_above_the_cap():
+    # the cap bounds the total: each stage here is within it
+    half = MAX_STEPS // 2 + 1
+    with pytest.raises(BudgetError, match=f"schedule has {2 * half} solver steps"):
+        StageSchedule([StageSpec(half, 0.5), StageSpec(half, 1.0)], 1.4, 0.42)
+    assert StageSchedule([StageSpec(MAX_STEPS, 1.0)]).nfe == MAX_STEPS
 
 
 def test_timesteps_follow_the_warp():

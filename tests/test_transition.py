@@ -6,6 +6,7 @@ import pytest
 from jitflow.errors import ParameterError
 from jitflow.fields import initial_noise
 from jitflow.grid import ActiveBlock, TokenGrid, complement, gather, index_set
+from jitflow.interp import lift
 from jitflow.transition import (
     apply_transition,
     dmf_target,
@@ -158,10 +159,10 @@ def test_apply_transition_leaves_inputs_unchanged():
     # run steps its state in place right after the call, so the record must
     # not alias any input array
     state, active, velocity = transition_inputs()
-    anchors = gather(state, active)
-    before = [a.copy() for a in (anchors.values, state.data, velocity.data)]
-    record = apply_transition(anchors, active, velocity, state, 0.3, 0.35, 5, 7, 0)
-    for arr, want in zip((anchors.values, state.data, velocity.data), before):
+    anchors, v_block = gather(state, active), gather(velocity, active)
+    before = [a.copy() for a in (anchors.values, state.data, v_block.values)]
+    record = apply_transition(anchors, v_block, active, state, 0.3, 0.35, 5, 7, 0)
+    for arr, want in zip((anchors.values, state.data, v_block.values), before):
         assert np.array_equal(arr, want)
         for part in (record.activated.indices, record.target_values.values,
                      record.importance_snapshot.scores):
@@ -171,17 +172,19 @@ def test_apply_transition_leaves_inputs_unchanged():
     # activated tokens came from the inactive pool
     assert not np.intersect1d(record.activated.indices, active.indices).size
     # the targets' noise is the activated tokens' own rows of state
-    want = dmf_target(predict_clean(anchors, 0.3, gather(velocity, active)), active,
+    want = dmf_target(predict_clean(anchors, 0.3, v_block), active,
                       record.activated, 0.35, state)
     assert np.array_equal(record.target_values.values, want.values)
 
 
 def test_apply_transition_picks_most_important_tokens():
     state, active, velocity = transition_inputs(seed=40)
-    scores = windowed_variance_scores(velocity.data.reshape(4, 4, 1).astype(np.float64), 3)
+    v_block = gather(velocity, active)
+    lifted = lift(v_block, active, state.shape)
+    scores = windowed_variance_scores(lifted.data.reshape(4, 4, 1).astype(np.float64), 3)
     inactive = np.setdiff1d(np.arange(16), active.indices)
     want = inactive[np.argsort(-scores[inactive], kind="stable")[:4]]
-    record = apply_transition(gather(state, active), active, velocity, state, 0.3, 0.35, 4, 7, 0)
+    record = apply_transition(gather(state, active), v_block, active, state, 0.3, 0.35, 4, 7, 0)
     assert sorted(record.activated.indices.tolist()) == sorted(want.tolist())
 
 
@@ -192,7 +195,7 @@ def test_apply_transition_at_unit_boundary_uses_pure_prediction():
     active = index_set(16, [0, 1, 2, 3])
     state = const_grid(4, 4, 1, 0.8)
     record = apply_transition(
-        gather(state, active), active, const_grid(4, 4, 1, 0.0), state, 0.9, 1.0, 3, 10, 1
+        gather(state, active), const_block(4, 1, 0.0), active, state, 0.9, 1.0, 3, 10, 1
     )
     assert record.activated.indices.tolist() == [4, 5, 6]
     assert np.all(record.target_values.values == np.float32(0.8))
@@ -200,8 +203,9 @@ def test_apply_transition_at_unit_boundary_uses_pure_prediction():
 
 def test_apply_transition_deterministic():
     state, active, velocity = transition_inputs()
-    a = apply_transition(gather(state, active), active, velocity, state, 0.3, 0.35, 5, 7, 0)
-    b = apply_transition(gather(state, active), active, velocity, state, 0.3, 0.35, 5, 7, 0)
+    v_block = gather(velocity, active)
+    a = apply_transition(gather(state, active), v_block, active, state, 0.3, 0.35, 5, 7, 0)
+    b = apply_transition(gather(state, active), v_block, active, state, 0.3, 0.35, 5, 7, 0)
     assert np.array_equal(a.activated.indices, b.activated.indices)
     assert np.array_equal(a.target_values.values, b.target_values.values)
 
@@ -210,14 +214,14 @@ def test_apply_transition_reads_noise_only_at_ring_rows():
     # the anchors come from their rows, not from the noise grid, so other
     # finite values at every row outside the ring leave the record unchanged
     state, active, velocity = transition_inputs(seed=5)
-    anchors = gather(state, active)
-    record = apply_transition(anchors, active, velocity, state, 0.3, 0.35, 5, 7, 0)
+    anchors, v_block = gather(state, active), gather(velocity, active)
+    record = apply_transition(anchors, v_block, active, state, 0.3, 0.35, 5, 7, 0)
     other = state.data * np.float32(-3.0) + np.float32(7.0)
     other[record.activated.indices] = state.data[record.activated.indices]
     idle = np.setdiff1d(complement(active).indices, record.activated.indices)
     for rows in (active.indices, idle):
         assert rows.size and not np.any(other[rows] == state.data[rows])
-    again = apply_transition(anchors, active, velocity, state.with_data(other),
+    again = apply_transition(anchors, v_block, active, state.with_data(other),
                              0.3, 0.35, 5, 7, 0)
     assert np.array_equal(again.activated.indices, record.activated.indices)
     assert np.array_equal(again.target_values.values, record.target_values.values)
