@@ -39,13 +39,13 @@ def _cmd_sample(args) -> int:
         write_report(args.out_report, report)
     if args.out_metrics:
         write_metrics_csv(args.out_metrics, report)
-    if args.dump_importance:
-        outdir = Path(args.dump_importance)
+    if args.dump_anchor_distance:
+        outdir = Path(args.dump_anchor_distance)
         outdir.mkdir(parents=True, exist_ok=True)
         for tr in report.transitions:
             write_pgm(
-                tr.importance_snapshot,
-                outdir / f"importance_step{tr.step_index:03d}.pgm",
+                tr.anchor_distance,
+                outdir / f"anchor_distance_step{tr.step_index:03d}.pgm",
             )
     print(
         f"schedule={report.schedule_name} seed={report.seed} nfe={report.nfe} "
@@ -106,8 +106,9 @@ def _cmd_oracle_compare(args) -> int:
     field = cfg.resolve_field()
     ledger = schedule_cost(cfg.resolve_schedule(), cfg.resolve_cost_model() or CostModel(),
                            cfg.shape[0] * cfg.shape[1], cfg.baseline_steps)
-    report = cfg.run(field)
+    # the oracle first: it refuses a bad --fine-steps before any field evaluation
     oracle = reference_solve(field, cfg.shape, cfg.seed, args.fine_steps)
+    report = cfg.run(field)
     print(f"rel_l2,{rel_l2(report.endpoint, oracle)!r}")
     print("stage,steps,m,stage_cost")
     for stage, (steps, m, cost) in enumerate(ledger.per_stage):
@@ -135,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-grid", default=None)
     p.add_argument("--out-report", default=None)
     p.add_argument("--out-metrics", default=None)
-    p.add_argument("--dump-importance", default=None)
+    p.add_argument("--dump-anchor-distance", default=None)
     p.set_defaults(fn=_cmd_sample)
 
     p = sub.add_parser("schedule", help="print stage table and timesteps")

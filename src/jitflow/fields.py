@@ -101,6 +101,18 @@ class GaussianFlowField:
         with np.errstate(over="ignore"):
             return ActiveBlock(block.m, block.d, u.astype(np.float32))
 
+    def flow_map(self, x0: TokenGrid, t: float) -> TokenGrid:
+        """Exact state at time t of the ODE started from x0 at t = 0.
+
+        x_t = t * mu + sqrt(t^2 * sigma1^2 + (1 - t)^2) * x0, so x_1 is
+        mu + sigma1 * x0; computed in float64, returned as float32.
+        """
+        if not 0.0 <= t <= 1.0:
+            raise ParameterError(f"t must lie in [0, 1], got {t}")
+        sig = self._sigma1 if isinstance(self._sigma1, float) else self._sigma1[:, None]
+        scale = np.sqrt(t * t * np.square(sig) + (1.0 - t) ** 2)
+        return x0.with_data(t * self._target + scale * x0.data.astype(np.float64))
+
 
 class ReplayField:
     """Record/replay wrapper keyed by (active indices, t).

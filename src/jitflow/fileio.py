@@ -87,7 +87,7 @@ def read_grid(path) -> TokenGrid:
 
 
 def write_pgm(imap: ImportanceMap, path) -> None:
-    """An importance map as binary PGM (P5), min-max normalized; a constant map -> 128."""
+    """A score map as binary PGM (P5), min-max normalized; a constant map -> 128."""
     arr = imap.scores.reshape(imap.h_tok, imap.w_tok)
     lo, hi = float(arr.min()), float(arr.max())
     if hi == lo:
@@ -219,7 +219,7 @@ def report_to_dict(report: RunReport) -> dict:
                 "stage_from": tr.stage_from,
                 "stage_to": tr.stage_to,
                 "activated": tr.activated.indices.tolist(),
-                "importance": _stats(tr.importance_snapshot.scores),
+                "anchor_distance": _stats(tr.anchor_distance.scores),
                 "target": _stats(tr.target_values.values),
             }
             for tr in report.transitions

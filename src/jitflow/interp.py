@@ -1,9 +1,8 @@
 """Unified interpolation from sparse anchors to the full grid.
 
-One operator serves two roles in the engine, both at a stage transition:
-extrapolating the velocity of the step that closes a stage to the inactive
-tokens (the lifter), and building the structural prior for the newly
-activated tokens.  Both lift a sparse anchor set.  The pipeline is
+The engine lifts one thing at a stage transition: the anchors' clean
+prediction, which becomes the structural prior of the newly activated
+tokens.  The pipeline is
 
     1. nearest-neighbor fill from the anchors,
     2. a density-matched separable Gaussian blur,
@@ -18,11 +17,12 @@ scipy.ndimage.distance_transform_edt) on the transposed anchor mask: the
 transform's last 1-D pass keeps the lower coordinate among equal distances,
 and with rows on that last axis its pick among equidistant anchors is the
 lowest row-major index.  Scipy does not document that tie rule; tests
-against the brute-force tests/oracles.brute_owner_map pin it.  The map
-depends only on the grid size and the active set, so it is memoized per
-(h, w, indices) in a small LRU cache: a staged run builds one map per
-sparse stage, and the prediction lift in dmf_target reuses the map of the
-velocity lift before it.
+against the brute-force tests/oracles.brute_owner_map pin it.  The same
+call returns each token's distance to its nearest anchor, which the stage
+transition ranks its candidates by.  Map and distance depend only on the
+grid size and the active set, so they are memoized per (h, w, indices) in a
+small LRU cache: a staged run computes one transform per sparse stage, read
+first by the ring choice and then by the prediction lift in dmf_target.
 
 The blur is scipy.ndimage.gaussian_filter over the two grid axes with
 edge-replicating ("nearest") padding.  Its scale tracks anchor density:
@@ -64,11 +64,22 @@ def owner_map(active: IndexSet, h: int, w: int) -> np.ndarray:
     array of length h * w, shared between calls with the same set.
     Precondition: active holds at least one index over h * w tokens.
     """
-    return _cached_owner_map(h, w, active.indices.tobytes())
+    return _cached_owner_map(h, w, active.indices.tobytes())[0]
+
+
+def anchor_distance(active: IndexSet, h: int, w: int) -> np.ndarray:
+    """Euclidean distance from each token to its nearest anchor, in tokens.
+
+    Each entry is the float64 square root of an integer squared distance, 0
+    at the anchors.  Returns a read-only array of length h * w, shared
+    between calls with the same set and computed with its owner map.
+    Precondition: as for owner_map.
+    """
+    return _cached_owner_map(h, w, active.indices.tobytes())[1]
 
 
 @functools.lru_cache(maxsize=8)
-def _cached_owner_map(h: int, w: int, key: bytes) -> np.ndarray:
+def _cached_owner_map(h: int, w: int, key: bytes) -> tuple[np.ndarray, np.ndarray]:
     from scipy.ndimage import distance_transform_edt
 
     anchors = np.frombuffer(key, dtype=np.int64)
@@ -77,12 +88,15 @@ def _cached_owner_map(h: int, w: int, key: bytes) -> np.ndarray:
     rank[anchors] = np.arange(m)
     # Transposed so that scipy's last 1-D pass runs along rows: among equidistant
     # anchors it keeps the lowest (row, col), which is the lowest anchor index.
-    cols, rows = distance_transform_edt(
-        (rank == m).reshape(h, w).T, return_distances=False, return_indices=True
-    ).astype(np.int64).transpose(0, 2, 1)
+    dist, nearest = distance_transform_edt(
+        (rank == m).reshape(h, w).T, return_distances=True, return_indices=True
+    )
+    cols, rows = nearest.astype(np.int64).transpose(0, 2, 1)
     owner = rank[rows * w + cols].ravel()
+    dist = dist.T.ravel()  # a copy in (row, col) order
     owner.setflags(write=False)
-    return owner
+    dist.setflags(write=False)
+    return owner, dist
 
 
 def nearest_fill(block: ActiveBlock, active: IndexSet, shape: tuple[int, int, int]) -> TokenGrid:
@@ -111,10 +125,10 @@ def lift(block: ActiveBlock, active: IndexSet, shape: tuple[int, int, int]) -> T
     Composition M * Z_nn + (1 - M) * Z_blur, where M marks anchors.  The
     anchor rows are written by direct scatter of the block values, so
     gather(lift(b, set), set) == b holds bitwise; for the full set the
-    result is the block itself.  The engine lifts only sparse sets: the
-    velocity of the step that closes a stage, and the anchors' clean
-    prediction in dmf_target.  Precondition: active is a non-empty set over
-    h * w tokens, and block holds its len(active) x d rows.
+    result is the block itself.  The engine lifts one sparse set per
+    transition: the anchors' clean prediction in dmf_target.
+    Precondition: active is a non-empty set over h * w tokens, and block
+    holds its len(active) x d rows.
     """
     h, w, d = shape
     z_nn = nearest_fill(block, active, shape)

@@ -14,22 +14,29 @@ is drawn after the initial state.  A finite-time hitting flow
 z' = (y* - z) / (T - t) would carry old values onto the target over a short
 window; its closed form reaches y* exactly at t = T, so the engine assigns
 the target directly and the flow exists as a tested equivalence.
-apply_transition only builds the record (new tokens, targets, importance
-map) from the anchors' rows and velocity block, lifting the velocity for
-the importance map alone; the sampling loop seats the targets at the
-boundary step.
+
+The tokens woken at a boundary (the ring) are the inactive tokens farthest
+from their nearest anchor, read from the distance transform that also
+serves the lift of Phi, so a transition lifts nothing but Phi.  Ties in
+distance are common on a lattice-like anchor set; they go in the
+ordered-dither order of Bayer (1973), so that a ring cut from a tie class
+spreads evenly over the grid instead of filling it from the top rows.
+apply_transition only builds the record (new tokens, targets, anchor
+distances) from the anchors' rows and velocity block; the sampling loop
+seats the targets at the boundary step.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
 from .grid import ActiveBlock, IndexSet, TokenGrid, complement
-from .importance import ImportanceMap, importance_map, top_tokens
-from .interp import lift
+from .importance import ImportanceMap, top_tokens
+from .interp import anchor_distance, lift
 
 
 def predict_clean(y: ActiveBlock, t: float, v: ActiveBlock) -> ActiveBlock:
@@ -75,6 +82,28 @@ def hitting_flow(z0, target, t_boundary: float, delta: float, t: float):
     return target - (target - z0) * ((t_boundary - t) / delta)
 
 
+@functools.lru_cache(maxsize=8)
+def dither_key(h: int, w: int) -> np.ndarray:
+    """Ordered-dither rank of each token of an h x w grid (Bayer 1973).
+
+    Token (row, col) gets the bits of (row xor col, row) interleaved, the
+    former above the latter, with the coordinates' lowest bits in the
+    key's highest places.  On a 2^b x 2^b square the keys below 4^k then
+    mark one token per 2^(b-k) x 2^(b-k) block, so every prefix of the key
+    order is spread evenly.  Keys are distinct and draw no randomness.
+    Returns a read-only int64 array of length h * w, shared between calls.
+    """
+    bits = max(h - 1, w - 1).bit_length()
+    rows, cols = np.divmod(np.arange(h * w, dtype=np.int64), w)
+    mixed = rows ^ cols
+    key = np.zeros(h * w, dtype=np.int64)
+    for k in range(bits):
+        place = 2 * (bits - 1 - k)
+        key |= ((mixed >> k) & 1) << (place + 1) | ((rows >> k) & 1) << place
+    key.setflags(write=False)
+    return key
+
+
 @dataclass(frozen=True)
 class TransitionRecord:
     """What one stage transition did, for reports and tests."""
@@ -83,7 +112,7 @@ class TransitionRecord:
     stage_from: int
     activated: IndexSet
     target_values: ActiveBlock
-    importance_snapshot: ImportanceMap
+    anchor_distance: ImportanceMap  # each token's distance to the old anchors
 
     @property
     def stage_to(self) -> int:
@@ -104,15 +133,17 @@ def apply_transition(
     """Choose new_count tokens to activate at t_boundary and their targets.
 
     anchors and velocity are the state's and the velocity's active rows at
-    time t.  The importance map of the lifted velocity ranks the inactive
-    candidates; the winners get the micro-flow target built from the
-    Tweedie prediction of the anchors' rows and from their own rows of
-    the run's initial noise.  Preconditions: 1 <= new_count <= the number
-    of inactive tokens, and t lies in [0, 1).  No input is modified, and
-    the record shares no memory with them; the caller seats the targets.
+    time t.  The inactive candidates farthest from their nearest anchor
+    win, ties going to the lower dither_key; the winners get the
+    micro-flow target built from the Tweedie prediction of the anchors'
+    rows and from their own rows of the run's initial noise.
+    Preconditions: 1 <= new_count <= the number of inactive tokens, and t
+    lies in [0, 1).  No input is modified, and the record shares no memory
+    with them; the caller seats the targets.
     """
-    imap = importance_map(lift(velocity, active, noise.shape))
-    ring = top_tokens(imap, complement(active), new_count)
+    h, w, _ = noise.shape
+    dist = ImportanceMap(h, w, anchor_distance(active, h, w))
+    ring = top_tokens(dist, complement(active), new_count, dither_key(h, w))
     y_hat = predict_clean(anchors, t, velocity)
     target = dmf_target(y_hat, active, ring, t_boundary, noise)
-    return TransitionRecord(step_index, stage_from, ring, target, imap)
+    return TransitionRecord(step_index, stage_from, ring, target, dist)

@@ -1,7 +1,8 @@
 """Independent brute-force oracles the implementation is checked against.
 
 Everything here deliberately avoids the library's own code paths: a full
-token-by-anchor distance matrix for nearest-anchor owners, direct 2-D
+token-by-anchor distance matrix for nearest-anchor owners and distances,
+the ordered-dither matrix by its block recursion, direct 2-D
 convolution with explicit index clamping, per-window enumeration for
 variances, adaptive quadrature + root finding for the Beta CDF inverse,
 Monte Carlo regression for the analytic velocity field, the analytic
@@ -33,6 +34,32 @@ def brute_owner_map(indices: np.ndarray, h: int, w: int) -> np.ndarray:
         tokens[:, None] % w - indices[None, :] % w
     ) ** 2
     return np.argmin(dist2, axis=1)
+
+
+def brute_anchor_distance(indices: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Euclidean distance of every token to its nearest anchor, exhaustively.
+
+    The square root of the smallest integer squared distance in the full
+    (h*w) x m matrix; 0 at the anchors.  Test grids only.
+    """
+    tokens = np.arange(h * w, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
+    dist2 = (tokens[:, None] // w - indices[None, :] // w) ** 2 + (
+        tokens[:, None] % w - indices[None, :] % w
+    ) ** 2
+    return np.sqrt(dist2.min(axis=1).astype(np.float64))
+
+
+def bayer_matrix(bits: int) -> np.ndarray:
+    """The 2^bits x 2^bits ordered-dither matrix of Bayer (1973).
+
+    M_1 = [[0]] and M_2n = [[4 M_n, 4 M_n + 2], [4 M_n + 3, 4 M_n + 1]],
+    indexed [row, col].
+    """
+    m = np.zeros((1, 1), dtype=np.int64)
+    for _ in range(bits):
+        m = np.block([[4 * m, 4 * m + 2], [4 * m + 3, 4 * m + 1]])
+    return m
 
 
 def scalar_choose(stream, items: np.ndarray, k: int) -> np.ndarray:

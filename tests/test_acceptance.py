@@ -303,7 +303,7 @@ def test_criterion_11_determinism(tmp_path):
             "--out-grid", str(d / "end.jitg"),
             "--out-report", str(d / "report.json"),
             "--out-metrics", str(d / "metrics.csv"),
-            "--dump-importance", str(d / "imp"),
+            "--dump-anchor-distance", str(d / "imp"),
         ])
         assert rc == 0
         images = {

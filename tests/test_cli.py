@@ -9,6 +9,8 @@ import pytest
 from jitflow.cli import main
 from jitflow.config import config_from_dict
 from jitflow.cost import CostModel, schedule_cost
+from jitflow.fields import GaussianFlowField
+from jitflow.schedule import MAX_STEPS
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -64,7 +66,7 @@ def test_sample_writes_deterministic_outputs(tmp_path, capsys):
         "--out-grid", str(tmp_path / "end.jitg"),
         "--out-report", str(tmp_path / "report.json"),
         "--out-metrics", str(tmp_path / "metrics.csv"),
-        "--dump-importance", str(tmp_path / "imp"),
+        "--dump-anchor-distance", str(tmp_path / "imp"),
     ]
     assert main(args) == 0
     line = capsys.readouterr().out.strip()
@@ -73,7 +75,7 @@ def test_sample_writes_deterministic_outputs(tmp_path, capsys):
     report1 = (tmp_path / "report.json").read_bytes()
     metrics1 = (tmp_path / "metrics.csv").read_bytes()
     pgms = sorted(p.name for p in (tmp_path / "imp").iterdir())
-    assert pgms == ["importance_step007.pgm", "importance_step011.pgm"]
+    assert pgms == ["anchor_distance_step007.pgm", "anchor_distance_step011.pgm"]
     assert main(args) == 0
     assert (tmp_path / "end.jitg").read_bytes() == grid1
     assert (tmp_path / "report.json").read_bytes() == report1
@@ -353,6 +355,28 @@ def test_huge_fine_step_count_exits_with_one_budget_error_line(tmp_path, capsys)
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: BudgetError: n_fine_steps ")
+
+
+@pytest.mark.parametrize("steps, error", [
+    (MAX_STEPS + 1, "BudgetError: n_fine_steps "),
+    (0, "ParameterError: n_fine_steps "),
+])
+def test_bad_fine_step_count_is_refused_before_any_field_evaluation(
+        tmp_path, capsys, monkeypatch, steps, error):
+    calls = []
+    evaluate = GaussianFlowField.evaluate
+
+    def counting(self, block, active, t):
+        calls.append(t)
+        return evaluate(self, block, active, t)
+
+    monkeypatch.setattr(GaussianFlowField, "evaluate", counting)
+    cfg = write_cfg(tmp_path, SMALL)
+    assert main(["oracle-compare", "--config", cfg, "--fine-steps", str(steps)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and calls == []
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {error}")
 
 
 def test_empty_preset_name_exits_with_one_error_line(capsys):

@@ -320,6 +320,43 @@ def test_reference_solve_first_order_convergence():
         assert 1.7 < a / b < 2.3
 
 
+@pytest.mark.parametrize("per_token", [False, True])
+def test_flow_map_matches_reference_solve(per_token):
+    # Euler at 4096 steps is first-order accurate: its endpoint error is
+    # ~1/4096 of the flow, and halves from 2048 steps
+    shape = (8, 8, 3)
+    sigma1 = np.linspace(0.2, 1.5, 64) if per_token else 0.5
+    field = bump_field(shape, sigma1)
+    x0 = initial_noise(shape, 5)
+    exact = field.flow_map(x0, 1.0).data.astype(np.float64)
+    errs = [
+        float(np.abs(reference_solve(field, shape, 5, n).data - exact).max())
+        for n in (2048, 4096)
+    ]
+    assert errs[1] <= 2e-3 and 1.7 < errs[0] / errs[1] < 2.3
+    sig = np.asarray(sigma1, dtype=np.float64).reshape(-1, 1) if per_token else 0.5
+    want = field.mu.data.astype(np.float64) + sig * x0.data.astype(np.float64)
+    assert np.allclose(exact, want, rtol=1e-6, atol=1e-6)
+    assert np.array_equal(field.flow_map(x0, 0.0).data, x0.data)
+
+
+def test_flow_map_solves_the_field_ode():
+    # the central difference of the flow in t is the field's velocity there
+    shape = (6, 5, 3)
+    field = bump_field(shape, 0.7)
+    x0 = initial_noise(shape, 8)
+    everything = full_set(30)
+    h = 1e-3
+    for t in (0.1, 0.5, 0.9):
+        ahead = field.flow_map(x0, t + h).data.astype(np.float64)
+        behind = field.flow_map(x0, t - h).data.astype(np.float64)
+        here = field.flow_map(x0, t)
+        v = field.evaluate(gather(here, everything), everything, t).values
+        assert np.abs((ahead - behind) / (2 * h) - v).max() < 2e-3
+    with pytest.raises(ParameterError):
+        field.flow_map(x0, 1.5)
+
+
 def test_reference_solve_bit_identical_reruns():
     field = bump_field(sigma1=0.7)
     a = reference_solve(field, (6, 5, 3), 11, 64)

@@ -12,6 +12,7 @@ from jitflow.grid import ActiveBlock, TokenGrid, full_set, gather, index_set
 from jitflow.interp import (
     BlurSpec,
     _cached_owner_map,
+    anchor_distance,
     blur_params,
     gaussian_blur,
     lift,
@@ -21,7 +22,13 @@ from jitflow.interp import (
 from jitflow.rng import UniformStream
 from jitflow.schedule import base_selector_indices, initial_selector
 
-from oracles import brute_owner_map, dense_conv2d_replicate, gaussian_kernel, reference_blur
+from oracles import (
+    brute_anchor_distance,
+    brute_owner_map,
+    dense_conv2d_replicate,
+    gaussian_kernel,
+    reference_blur,
+)
 
 
 def test_blur_params_examples():
@@ -210,6 +217,47 @@ def test_owner_map_is_cached_and_read_only():
     assert not first.flags.writeable
     with pytest.raises(ValueError):
         first[0] = 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_anchor_distance_equals_brute_force(data):
+    h = data.draw(st.integers(1, 32), label="h")
+    w = data.draw(st.integers(1, 32), label="w")
+    n = h * w
+    kind = data.draw(st.sampled_from(["random", "selector", "sparse"]))
+    if kind == "random":
+        idx = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
+    elif kind == "selector":
+        budget = data.draw(st.integers(1, n))
+        idx = initial_selector(h, w, budget, data.draw(st.integers(0, 1000))).indices
+    else:
+        idx = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 3)))
+    active = index_set(n, sorted(idx))
+    got = anchor_distance(active, h, w)
+    assert got.dtype == np.float64 and got.shape == (n,)
+    # bitwise: each entry is the square root of the same integer
+    assert np.array_equal(got, brute_anchor_distance(active.indices, h, w))
+    assert np.all(got[active.indices] == 0.0)
+
+
+def test_anchor_distance_shares_the_owner_map_transform():
+    # one distance transform serves both: the second read is a cache hit
+    _cached_owner_map.cache_clear()
+    active = index_set(40 * 24, range(0, 40 * 24, 7))
+    dist = anchor_distance(active, 40, 24)
+    owner_map(active, 40, 24)
+    info = _cached_owner_map.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert anchor_distance(active, 40, 24) is dist
+    assert not dist.flags.writeable
+    with pytest.raises(ValueError):
+        dist[0] = 1.0
+    # the distance is the one to the owner the map names
+    owner = active.indices[owner_map(active, 40, 24)]
+    tokens = np.arange(40 * 24)
+    want = np.hypot(tokens // 24 - owner // 24, tokens % 24 - owner % 24)
+    assert np.allclose(dist, want, rtol=1e-15, atol=0.0)
 
 
 def test_gaussian_blur_constant_invariance():

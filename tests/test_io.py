@@ -415,8 +415,8 @@ def test_report_and_metrics_deterministic(tmp_path):
 def test_report_to_dict_leaves_the_report_unchanged():
     report = small_report()
     tr = report.transitions[0]
-    assert tr.importance_snapshot.scores.dtype == np.float64
-    arrays = [tr.importance_snapshot.scores, tr.target_values.values, report.endpoint.data]
+    assert tr.anchor_distance.scores.dtype == np.float64
+    arrays = [tr.anchor_distance.scores, tr.target_values.values, report.endpoint.data]
     before = [a.tobytes() for a in arrays]
     first = report_to_dict(report)
     assert [a.tobytes() for a in arrays] == before

@@ -2,19 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jitflow.errors import ParameterError
-from jitflow.fields import initial_noise
+from jitflow.fields import GaussianFlowField, initial_noise, make_target_image
 from jitflow.grid import ActiveBlock, TokenGrid, complement, gather, index_set
-from jitflow.interp import lift
+from jitflow.sampler import run
+from jitflow.schedule import initial_selector, preset_schedule
 from jitflow.transition import (
     apply_transition,
+    dither_key,
     dmf_target,
     hitting_flow,
     predict_clean,
 )
 
-from oracles import windowed_variance_scores
+from oracles import bayer_matrix, brute_anchor_distance
 
 
 def const_grid(h, w, d, value):
@@ -165,7 +169,7 @@ def test_apply_transition_leaves_inputs_unchanged():
     for arr, want in zip((anchors.values, state.data, v_block.values), before):
         assert np.array_equal(arr, want)
         for part in (record.activated.indices, record.target_values.values,
-                     record.importance_snapshot.scores):
+                     record.anchor_distance.scores):
             assert not np.shares_memory(part, arr)
     assert record.stage_from == 0 and record.stage_to == 1 and record.step_index == 7
     assert len(record.activated) == 5 == record.target_values.m
@@ -177,27 +181,38 @@ def test_apply_transition_leaves_inputs_unchanged():
     assert np.array_equal(record.target_values.values, want.values)
 
 
+def farthest_first(active, h, w, count):
+    """The count inactive tokens first in (-anchor distance, Bayer rank) order."""
+    dist = brute_anchor_distance(active.indices, h, w)
+    bits = max(h - 1, w - 1).bit_length()
+    rank = bayer_matrix(bits)[:h, :w].ravel()
+    inactive = np.setdiff1d(np.arange(h * w), active.indices)
+    return sorted(sorted(inactive.tolist(), key=lambda i: (-dist[i], rank[i]))[:count])
+
+
 def test_apply_transition_picks_most_important_tokens():
+    # the tokens that matter most are the ones farthest from every anchor:
+    # with the top row active, row 3 (distance 3) goes first, then two of
+    # row 2 in dither order; the velocity plays no part
     state, active, velocity = transition_inputs(seed=40)
     v_block = gather(velocity, active)
-    lifted = lift(v_block, active, state.shape)
-    scores = windowed_variance_scores(lifted.data.reshape(4, 4, 1).astype(np.float64), 3)
-    inactive = np.setdiff1d(np.arange(16), active.indices)
-    want = inactive[np.argsort(-scores[inactive], kind="stable")[:4]]
-    record = apply_transition(gather(state, active), v_block, active, state, 0.3, 0.35, 4, 7, 0)
-    assert sorted(record.activated.indices.tolist()) == sorted(want.tolist())
+    record = apply_transition(gather(state, active), v_block, active, state, 0.3, 0.35, 6, 7, 0)
+    assert record.activated.indices.tolist() == farthest_first(active, 4, 4, 6)
+    assert record.activated.indices.tolist() == [8, 10, 12, 13, 14, 15]
+    assert np.array_equal(record.anchor_distance.scores,
+                          np.repeat([0.0, 1.0, 2.0, 3.0], 4))
 
 
 def test_apply_transition_at_unit_boundary_uses_pure_prediction():
-    # zero velocity: importance ties break to the lowest inactive indices,
-    # and the prediction equals the (constant) state
+    # zero velocity: row 3 ties at distance 3 and its lowest dither keys
+    # win, and the prediction equals the (constant) state
     shape = (4, 4, 1)
     active = index_set(16, [0, 1, 2, 3])
     state = const_grid(4, 4, 1, 0.8)
     record = apply_transition(
         gather(state, active), const_block(4, 1, 0.0), active, state, 0.9, 1.0, 3, 10, 1
     )
-    assert record.activated.indices.tolist() == [4, 5, 6]
+    assert record.activated.indices.tolist() == [13, 14, 15]
     assert np.all(record.target_values.values == np.float32(0.8))
 
 
@@ -225,4 +240,72 @@ def test_apply_transition_reads_noise_only_at_ring_rows():
                              0.3, 0.35, 5, 7, 0)
     assert np.array_equal(again.activated.indices, record.activated.indices)
     assert np.array_equal(again.target_values.values, record.target_values.values)
-    assert np.array_equal(again.importance_snapshot.scores, record.importance_snapshot.scores)
+    assert np.array_equal(again.anchor_distance.scores, record.anchor_distance.scores)
+
+
+def test_dither_key_is_the_bayer_matrix():
+    for h, w in ((1, 1), (2, 2), (4, 4), (5, 7), (16, 3), (64, 64), (33, 20)):
+        bits = max(h - 1, w - 1).bit_length()
+        key = dither_key(h, w)
+        assert np.array_equal(key, bayer_matrix(bits)[:h, :w].ravel())
+        assert len(np.unique(key)) == h * w
+        assert not key.flags.writeable and dither_key(h, w) is key
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_apply_transition_picks_the_farthest_in_dither_order(data):
+    h = data.draw(st.integers(1, 24), label="h")
+    w = data.draw(st.integers(1, 24), label="w")
+    n = h * w
+    if n < 2:
+        return
+    if data.draw(st.booleans(), label="selector"):
+        budget = data.draw(st.integers(1, n - 1))
+        active = initial_selector(h, w, budget, data.draw(st.integers(0, 1000)))
+    else:
+        idx = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+        active = index_set(n, sorted(idx))
+    count = data.draw(st.integers(1, n - len(active)))
+    seed = data.draw(st.integers(0, 1000))
+    state = initial_noise((h, w, 2), seed)
+    velocity = initial_noise((h, w, 2), seed + 1)
+    record = apply_transition(gather(state, active), gather(velocity, active), active,
+                              state, 0.3, 0.35, count, 7, 0)
+    assert record.activated.indices.tolist() == farthest_first(active, h, w, count)
+    assert np.array_equal(record.anchor_distance.scores,
+                          brute_anchor_distance(active.indices, h, w))
+
+
+def test_jit4x_rings_spread_evenly_at_64():
+    # a ring is cut from a tie class of equidistant tokens; in dither order
+    # the cut spreads over the whole grid (lowest-index order fills it from
+    # the top: row mean ~21 and quadrant counts off by ~50%)
+    side = 64
+    shape = (side, side, 4)
+    field = GaussianFlowField(make_target_image("gaussian-bump", shape), 0.5)
+    centre = (side - 1) / 2
+    for seed in (0, 1, 2):
+        report = run(preset_schedule("jit4x"), field, shape, seed)
+        assert len(report.transitions) == 2
+        for rec in report.transitions:
+            rows, cols = np.divmod(rec.activated.indices, side)
+            assert abs(rows.mean() - centre) <= 1.5 and abs(cols.mean() - centre) <= 1.5
+            quadrant = np.bincount(2 * (rows >= side // 2) + (cols >= side // 2), minlength=4)
+            assert np.all(np.abs(quadrant - len(rows) / 4) <= 0.1 * len(rows) / 4)
+
+
+def test_ring_ties_follow_the_dither_key_on_a_long_strip():
+    # on a 1 x (2^17 + 1) strip with anchors at 0, 2^15 and 3 * 2^15, only
+    # tokens 2^16 and 2^17 lie 2^15 from every anchor; dither keys 8 and 2
+    # send the ring to 2^17.  A single float score sq * 4^18 - key would be
+    # 2^66 - key, which rounds to 2^66 for both, leaving the lower index.
+    w = (1 << 17) + 1
+    active = index_set(w, [0, 1 << 15, 3 << 15])
+    noise = initial_noise((1, w, 1), 4)
+    key = dither_key(1, w)
+    assert (key[1 << 16], key[1 << 17]) == (8, 2)
+    assert np.float64(2.0**66 - 8) == np.float64(2.0**66 - 2)
+    record = apply_transition(gather(noise, active), const_block(3, 1, 0.0), active,
+                              noise, 0.3, 0.35, 1, 7, 0)
+    assert record.activated.indices.tolist() == [1 << 17]
