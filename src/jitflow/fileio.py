@@ -11,12 +11,14 @@ Canonical JSON is the text of json.dumps(doc, sort_keys=True, indent=2)
 plus "\n": sorted keys, ASCII escapes, floats via repr.
 
 Replay tape: a directory with manifest.json, canonical JSON of
-{"entries": [{"indices", "t"}, ...]} sorted by t, then by the int64 bytes
-of the indices, and values.jitg, a 1 x R x d JITG grid holding the
-entries' rows in entry order (no file for an empty tape).  save_replay
-checks the values before it removes the manifest, and writes the manifest
-last, so a save cut short leaves a tape load_replay refuses.  Tapes of the
-older one-block-per-entry layout have no values.jitg and are refused.
+{"sets": [{"indices", "t": [t, ...]}, ...]}, one entry per active set with
+the ascending times it was evaluated at, sets ordered by their earliest t,
+then by the int64 bytes of their indices; and values.jitg, a 1 x R x d
+JITG grid holding the rows set by set, time by time within a set (no file
+for an empty tape).  save_replay checks the values before it removes the
+manifest, and writes the manifest last, so a save cut short leaves a tape
+load_replay refuses.  Manifests of the older one-entry-per-step layout
+(an "entries" list) are refused.
 """
 
 from __future__ import annotations
@@ -253,54 +255,68 @@ def save_replay(field: ReplayField, dirpath) -> None:
     channels = {rows.shape[1] for rows in field.tape.values()}
     if len(channels) > 1:
         raise DimensionError(f"replay tape mixes channel counts {sorted(channels)}")
-    items = sorted(field.tape.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-    if items:  # TokenGrid refuses NaN and Inf before the saved tape is touched
-        values = np.concatenate([rows for _, rows in items])
+    times: dict[bytes, list[float]] = {}  # indices bytes -> the times they were evaluated at
+    for indices, t in field.tape:
+        times.setdefault(indices, []).append(t)
+    for ts in times.values():
+        ts.sort()
+    sets = sorted(times.items(), key=lambda kv: (kv[1][0], kv[0]))
+    if sets:  # TokenGrid refuses NaN and Inf before the saved tape is touched
+        values = np.concatenate([field.tape[indices, t] for indices, ts in sets for t in ts])
         grid = TokenGrid(1, *values.shape, values)
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
     (dirpath / "manifest.json").unlink(missing_ok=True)
-    if items:
+    if sets:
         write_grid(dirpath / "values.jitg", grid)
-    entries = [{"t": t, "indices": np.frombuffer(key, np.int64).tolist()}
-               for (key, t), _ in items]
-    _atomic_write(dirpath / "manifest.json",
-                  canonical_json({"entries": entries}).encode("utf-8"))
+    else:  # an empty tape has no values file, so none is left from an earlier save
+        (dirpath / "values.jitg").unlink(missing_ok=True)
+    doc = {"sets": [{"indices": np.frombuffer(indices, np.int64).tolist(), "t": ts}
+                    for indices, ts in sets]}
+    _atomic_write(dirpath / "manifest.json", canonical_json(doc).encode("utf-8"))
 
 
 def load_replay(dirpath, strict: bool = True) -> ReplayField:
     dirpath = Path(dirpath)
     doc = _read_json(dirpath / "manifest.json", FormatError, "replay manifest")
-    entries = doc.get("entries") if isinstance(doc, dict) else None
-    if not isinstance(entries, list):
-        raise FormatError("replay manifest needs an 'entries' list")
+    if isinstance(doc, dict) and "entries" in doc:
+        raise FormatError("replay manifest has the older one-entry-per-step 'entries' "
+                          "layout; re-record the tape")
+    sets = doc.get("sets") if isinstance(doc, dict) else None
+    if not isinstance(sets, list):
+        raise FormatError("replay manifest needs a 'sets' list")
     field = ReplayField(strict=strict)
-    keys = [_manifest_entry(entry, pos) for pos, entry in enumerate(entries)]
-    positions: dict[tuple[bytes, float], int] = {}  # tape key -> entry, in entry order
-    for pos, (indices, t) in enumerate(keys):
-        if (seen := positions.setdefault((indices.tobytes(), t), pos)) != pos:
-            raise FormatError(f"replay entry {pos} repeats entry {seen}")
-    if keys:
+    # tape key -> (set, time) position, in row order
+    places: dict[tuple[bytes, float], tuple[int, int]] = {}
+    rows = []  # token count of each (set, time) block, in row order
+    for pos, entry in enumerate(sets):
+        indices, times = _manifest_set(entry, pos)
+        key = indices.tobytes()
+        for j, t in enumerate(times):
+            if (seen := places.setdefault((key, t), (pos, j))) != (pos, j):
+                raise FormatError(f"replay set {pos} t[{j}] repeats set {seen[0]} t[{seen[1]}]")
+        rows += [len(indices)] * len(times)
+    if rows:
         try:
             values = read_grid(dirpath / "values.jitg").data
         except (OSError, EngineError) as exc:
             raise FormatError(f"replay tape: cannot read 'values.jitg': {exc}") from exc
-        stops = np.cumsum([len(indices) for indices, _ in keys])
+        stops = np.cumsum(rows)
         if len(values) != stops[-1]:
             raise FormatError(f"replay tape: values.jitg holds {len(values)} tokens, "
                               f"manifest lists {stops[-1]}")
-        field.tape.update(zip(positions, np.split(values, stops[:-1])))
+        field.tape.update(zip(places, np.split(values, stops[:-1])))
     return field
 
 
-def _manifest_entry(entry, pos: int) -> tuple[np.ndarray, float]:
-    """(indices, t) of one manifest entry, or a FormatError."""
+def _manifest_set(entry, pos: int) -> tuple[np.ndarray, list[float]]:
+    """(indices, times) of one manifest set, or a FormatError."""
     if not isinstance(entry, dict):
-        raise FormatError(f"replay entry {pos} is not a JSON object")
+        raise FormatError(f"replay set {pos} is not a JSON object")
     missing = [k for k in ("indices", "t") if k not in entry]
     if missing:
-        raise FormatError(f"replay entry {pos} lacks {', '.join(missing)}")
-    raw_indices, t = entry["indices"], entry["t"]
+        raise FormatError(f"replay set {pos} lacks {', '.join(missing)}")
+    raw_indices, times = entry["indices"], entry["t"]
     indices = None
     if isinstance(raw_indices, list) and {int}.issuperset(map(type, raw_indices)):
         try:
@@ -308,8 +324,11 @@ def _manifest_entry(entry, pos: int) -> tuple[np.ndarray, float]:
         except OverflowError:  # outside int64
             pass
     if indices is None or (indices.size and indices.min() < 0):
-        raise FormatError(f"replay entry {pos}: indices must be a list of token indices")
-    # NaN fails every comparison; inf and an int beyond float range fail this one
-    if isinstance(t, bool) or not isinstance(t, (int, float)) or not abs(t) <= sys.float_info.max:
-        raise FormatError(f"replay entry {pos}: t must be a number")
-    return indices, float(t)
+        raise FormatError(f"replay set {pos}: indices must be a list of token indices")
+    if not isinstance(times, list) or not times:
+        raise FormatError(f"replay set {pos}: t must be a non-empty list of times")
+    for j, t in enumerate(times):
+        # NaN fails every comparison; inf and an int beyond float range fail this one
+        if isinstance(t, bool) or not isinstance(t, (int, float)) or not abs(t) <= sys.float_info.max:
+            raise FormatError(f"replay set {pos}: each t must be a number, t[{j}] is not")
+    return indices, [float(t) for t in times]

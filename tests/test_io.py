@@ -492,42 +492,75 @@ def test_replay_tape_roundtrip(tmp_path):
         load_replay(tmp_path / "tape")
 
 
-def replay_tape(tmp_path):
+def replay_tape(tmp_path, times=(0.5,)):
+    """A saved tape of one active set, [1, 5, 9] of a 4x4 grid, at the given times."""
     shape = (4, 4, 2)
     rec = ReplayField(GaussianFlowField(make_target_image("checkerboard", shape), 0.5))
     active = index_set(16, [1, 5, 9])
-    rec.evaluate(gather(initial_noise(shape, seed=2), active), active, 0.5)
+    for t in times:
+        rec.evaluate(gather(initial_noise(shape, seed=2), active), active, t)
     save_replay(rec, tmp_path)
     return tmp_path / "manifest.json"
+
+
+def test_staged_run_tape_lists_each_active_set_once(tmp_path):
+    shape = (16, 16, 2)
+    sched = preset_schedule("jit7x")
+    rec = ReplayField(GaussianFlowField(make_target_image("gaussian-bump", shape), 0.5))
+    report = run(sched, rec, shape, seed=5)
+    save_replay(rec, tmp_path / "a")
+    save_replay(rec, tmp_path / "b")
+    for name in ("manifest.json", "values.jitg"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    sets = json.loads((tmp_path / "a" / "manifest.json").read_text("utf-8"))["sets"]
+    # one set per stage, in stage order, with the ascending times of its steps
+    assert [len(s["t"]) for s in sets] == [4, 3, 4]
+    for k, s in enumerate(sets):
+        steps = [step for step in report.steps if step.stage == k]
+        assert s["t"] == sorted(step.t for step in steps)
+        assert len(s["indices"]) == steps[0].m
+    replayed = run(sched, load_replay(tmp_path / "a", strict=True), shape, seed=5)
+    assert replayed.endpoint.data.tobytes() == report.endpoint.data.tobytes()
+    assert canonical_json(report_to_dict(replayed)) == canonical_json(report_to_dict(report))
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda e: e[0].pop("indices"), "lacks indices"),
-        (lambda e: e[0].pop("t"), "lacks t"),
-        (lambda e: e[0].update(t="late"), "t must be a number"),
-        pytest.param(lambda e: e[0].update(t=float("nan")), "t must be a number", id="t-nan"),
-        (lambda e: e[0].update(indices=[1, "x", 9]), "indices"),
-        (lambda e: e[0].update(indices=[1, 5]), "holds 3 tokens"),
-        pytest.param(lambda e: e[0].update(indices=[1, 5, 9, 12]),
+        (lambda s: s[0].pop("indices"), "lacks indices"),
+        (lambda s: s[0].pop("t"), "lacks t"),
+        (lambda s: s[0].update(t=["late"]), "t must be a number"),
+        pytest.param(lambda s: s[0].update(t=[float("nan")]), "t must be a number", id="t-nan"),
+        pytest.param(lambda s: s[0].update(t=[float("inf")]), r"t\[0\] is not", id="t-inf"),
+        pytest.param(lambda s: s[0].update(t=[0.25, True]), r"t\[1\] is not", id="t-bool"),
+        pytest.param(lambda s: s[0].update(t=[]), "t must be a non-empty list", id="t-empty"),
+        pytest.param(lambda s: s[0].update(t=0.5), "t must be a non-empty list", id="t-not-list"),
+        (lambda s: s[0].update(indices=[1, "x", 9]), "indices"),
+        (lambda s: s[0].update(indices=[1, 5]), "holds 3 tokens"),
+        pytest.param(lambda s: s[0].update(indices=[1, 5, 9, 12]),
                      "values.jitg holds 3 tokens, manifest lists 4", id="rows-4"),
+        pytest.param(lambda s: s[0].update(t=[0.5, 0.25]),
+                     "values.jitg holds 3 tokens, manifest lists 6", id="rows-two-times"),
         # cases a vectorized check can pass: numpy turns a bool into int64,
         # and 2**63 overflows int64
-        (lambda e: e[0].update(indices=[1, True, 9]), "indices must be a list of token indices"),
-        (lambda e: e[0].update(indices=[1.0, 5, 9]), "indices must be a list of token indices"),
-        (lambda e: e[0].update(indices=[-1, 5, 9]), "indices must be a list of token indices"),
-        (lambda e: e[0].update(indices=[2**63, 5, 9]), "indices must be a list of token indices"),
-        (lambda e: e[0].update(indices=[[1], 5, 9]), "indices must be a list of token indices"),
-        (lambda e: e[0].update(indices="159"), "indices must be a list of token indices"),
-        pytest.param(lambda e: e.append(dict(e[0])), "replay entry 1 repeats entry 0",
+        (lambda s: s[0].update(indices=[1, True, 9]), "indices must be a list of token indices"),
+        (lambda s: s[0].update(indices=[1.0, 5, 9]), "indices must be a list of token indices"),
+        (lambda s: s[0].update(indices=[-1, 5, 9]), "indices must be a list of token indices"),
+        (lambda s: s[0].update(indices=[2**63, 5, 9]), "indices must be a list of token indices"),
+        (lambda s: s[0].update(indices=[[1], 5, 9]), "indices must be a list of token indices"),
+        (lambda s: s[0].update(indices="159"), "indices must be a list of token indices"),
+        pytest.param(lambda s: s.append(dict(s[0])), r"replay set 1 t\[0\] repeats set 0 t\[0\]",
                      id="repeated-entry"),
+        pytest.param(lambda s: s[0].update(t=[0.5, 0.25, 0.5]),
+                     r"replay set 0 t\[2\] repeats set 0 t\[0\]", id="repeated-time"),
+        pytest.param(lambda s: s.append({"indices": [1, 5, 9], "t": [0.25, 0.5]}),
+                     r"replay set 1 t\[1\] repeats set 0 t\[0\]", id="repeated-across-sets"),
     ],
 )
 def test_replay_manifest_entry_errors(tmp_path, edit, message):
     manifest = replay_tape(tmp_path)
     doc = json.loads(manifest.read_text("utf-8"))
-    edit(doc["entries"])
+    edit(doc["sets"])
     manifest.write_text(json.dumps(doc), "utf-8")
     with pytest.raises(FormatError, match=message):
         load_replay(tmp_path)
@@ -549,13 +582,24 @@ def test_replay_corrupt_block_names_its_entry(tmp_path, corrupt):
         load_replay(tmp_path)
 
 
+OLD_LAYOUT = "older one-entry-per-step 'entries' layout; re-record the tape"
+
+
 def test_replay_tape_of_the_block_per_entry_layout_is_refused(tmp_path):
     manifest = replay_tape(tmp_path)
-    doc = json.loads(manifest.read_text("utf-8"))
-    doc["entries"][0]["file"] = "block_0000.jitg"
-    manifest.write_text(json.dumps(doc), "utf-8")
     (tmp_path / "values.jitg").rename(tmp_path / "block_0000.jitg")
-    with pytest.raises(FormatError, match="cannot read 'values.jitg'"):
+    doc = {"entries": [{"file": "block_0000.jitg", "indices": [1, 5, 9], "t": 0.5}]}
+    manifest.write_text(json.dumps(doc), "utf-8")
+    with pytest.raises(FormatError, match=OLD_LAYOUT):
+        load_replay(tmp_path)
+
+
+def test_replay_tape_of_the_per_step_entries_layout_is_refused(tmp_path):
+    manifest = replay_tape(tmp_path, times=(0.25, 0.5))
+    # the same tape as one entry per step, next to the same values
+    doc = {"entries": [{"indices": [1, 5, 9], "t": t} for t in (0.25, 0.5)]}
+    manifest.write_text(json.dumps(doc), "utf-8")
+    with pytest.raises(FormatError, match=OLD_LAYOUT):
         load_replay(tmp_path)
 
 
@@ -604,7 +648,14 @@ def test_replay_save_refuses_mixed_channel_counts(tmp_path):
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
-@pytest.mark.parametrize("doc", [[], {}, {"entries": {}}, {"entries": [7]}])
+def test_saving_an_empty_tape_removes_the_old_values_file(tmp_path):
+    save_replay(one_entry_tape([0, 1], 0.5, 1.0), tmp_path)
+    save_replay(ReplayField(), tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+    assert load_replay(tmp_path).tape == {}
+
+
+@pytest.mark.parametrize("doc", [[], {}, {"sets": {}}, {"sets": [7]}])
 def test_replay_manifest_shape_errors(tmp_path, doc):
     manifest = replay_tape(tmp_path)
     manifest.write_text(json.dumps(doc), "utf-8")
@@ -613,15 +664,18 @@ def test_replay_manifest_shape_errors(tmp_path, doc):
 
 
 # (kind, ...) edits applied in turn to a valid replay directory
+TIMES = st.sampled_from([10**400, -(10**400), 1e308, 0.25, 0.5, True, float("nan")])
 REPLAY_EDITS = st.one_of(
-    st.tuples(st.just("entry"), st.sampled_from(["indices", "t"]), JSON_VALUES),
-    st.tuples(st.just("entries"), JSON_VALUES),
+    st.tuples(st.just("set"), st.sampled_from(["indices", "t"]), JSON_VALUES),
+    st.tuples(st.just("sets"), JSON_VALUES),
     st.tuples(st.just("doc"), JSON_VALUES),
     st.tuples(st.just("indices"), st.lists(st.integers(-2, 2**64), max_size=4)),
-    st.tuples(st.just("t"),
-              st.sampled_from([10**400, -(10**400), 1e308, 0.5, True, float("nan")])),
+    st.tuples(st.just("times"), st.lists(TIMES | JSON_VALUES, max_size=3)),
+    # t[position] = value, or an appended time when the list is shorter
+    st.tuples(st.just("t"), st.integers(0, 2), TIMES),
+    st.tuples(st.just("copy-set"), st.booleans()),
     st.tuples(st.just("bytes"), st.integers(0, 200), st.binary(min_size=1, max_size=6)),
-    st.tuples(st.just("nest"), st.sampled_from([b"[", b'{"entries": ['])),
+    st.tuples(st.just("nest"), st.sampled_from([b"[", b'{"sets": [', b'{"sets": [{"t": ['])),
     st.tuples(st.just("path"), st.sampled_from(["manifest.json", "values.jitg"]),
               st.sampled_from(["delete", "dir", "garbage"])),
 )
@@ -653,14 +707,25 @@ def _edit_replay(tape, kind, *args):
         doc = json.loads(raw.decode("utf-8"))
     except (ValueError, RecursionError):
         return
-    entries = doc.get("entries") if isinstance(doc, dict) else None
-    entry = entries[0] if isinstance(entries, list) and entries else None
+    sets = doc.get("sets") if isinstance(doc, dict) else None
+    first = sets[0] if isinstance(sets, list) and sets else None
+    times = first.get("t") if isinstance(first, dict) else None
     if kind == "doc":
         doc = args[0]
-    elif kind == "entries" and isinstance(doc, dict):
-        doc["entries"] = args[0]
-    elif kind != "entries" and isinstance(entry, dict):
-        entry[args[0] if kind == "entry" else kind] = args[-1]
+    elif kind == "sets" and isinstance(doc, dict):
+        doc["sets"] = args[0]
+    elif kind == "copy-set" and first is not None:
+        # a second copy of the first set: a repeat, or with its times shifted
+        sets.append(first if args[0] else {**first, "t": [0.75]})
+    elif kind == "t" and isinstance(times, list):
+        if args[0] < len(times):
+            times[args[0]] = args[1]
+        else:
+            times.append(args[1])
+    elif kind == "set" and isinstance(first, dict):
+        first[args[0]] = args[1]
+    elif kind in ("indices", "times") and isinstance(first, dict):
+        first["indices" if kind == "indices" else "t"] = args[0]
     manifest.write_text(json.dumps(doc), "utf-8")
 
 
@@ -669,13 +734,17 @@ def _edit_replay(tape, kind, *args):
 @example([("path", "manifest.json", "delete")])
 @example([("path", "manifest.json", "dir")])
 @example([("path", "values.jitg", "delete")])
-@example([("entries", [])])
+@example([("sets", [])])
+@example([("times", [])])
+@example([("copy-set", True)])
+@example([("copy-set", False)])
 @example([("bytes", 0, b"\xff")])
 @example([("nest", b"[")])
-@example([("t", 10**400)])
+@example([("t", 0, 10**400)])
+@example([("t", 2, 0.25)])
 def test_load_replay_fuzz_only_engine_errors_escape(tmp_path_factory, edits):
     tape = tmp_path_factory.mktemp("tape")
-    replay_tape(tape)
+    replay_tape(tape, times=(0.25, 0.5))
     for edit in edits:
         _edit_replay(tape, *edit)
     try:
