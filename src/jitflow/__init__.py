@@ -1,10 +1,12 @@
 """Sparse anchor-token flow-matching sampler.
 
 A model-agnostic engine that integrates the flow-matching ODE on a coarse
-subset of grid tokens, extends velocities to the full grid by density-
-matched interpolation, and activates new tokens stage by stage guided by
-local velocity variance, with warped timestep schedules and FLOPs-style
-cost accounting.
+subset of grid tokens and activates new tokens stage by stage: at each
+stage boundary it wakes the tokens farthest from the anchors and seats
+them on the anchors' clean prediction, extended by density-matched
+interpolation.  The token plan of a run is fixed by the grid size and the
+schedule, and timestep schedules are warped, with FLOPs-style cost
+accounting.
 
 The package namespace holds what a run and a field author need; every other
 function is imported from its submodule (for example jitflow.grid.gather).

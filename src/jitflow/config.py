@@ -41,8 +41,9 @@ _SCALARS = (
     ("schedule", "beta", "beta", float, 1.0, None),
 )
 # h * w * d above this is refused: a jit4x run, building its analytic field
-# included, peaks at about 68 bytes of numpy memory per state value
-# (tracemalloc at 256x256x4), so ~290 MB here
+# and its sampling plan included, peaks at about 73 bytes of numpy memory per
+# state value at 256x256x4 and 218 at 512x512x1 (tracemalloc), so ~310 MB
+# here with d = 4 and ~910 MB with d = 1
 MAX_STATE_VALUES = 1 << 22
 # the hand-parsed keys of each section
 _STRUCTURED = {

@@ -2,7 +2,10 @@
 
 The engine lifts one thing at a stage transition: the anchors' clean
 prediction, which becomes the structural prior of the newly activated
-tokens.  The pipeline is
+tokens.  It reads that lift only at the ring rows, through lift_operator:
+the pipeline below restricted to those rows, as one sparse matrix that a
+sampling plan builds once per boundary.  lift itself is the reference the
+operator is tested against.  The pipeline is
 
     1. nearest-neighbor fill from the anchors,
     2. a density-matched separable Gaussian blur,
@@ -18,11 +21,9 @@ transform's last 1-D pass keeps the lower coordinate among equal distances,
 and with rows on that last axis its pick among equidistant anchors is the
 lowest row-major index.  Scipy does not document that tie rule; tests
 against the brute-force tests/oracles.brute_owner_map pin it.  The same
-call returns each token's distance to its nearest anchor, which the stage
-transition ranks its candidates by.  Map and distance depend only on the
-grid size and the active set, so they are memoized per (h, w, indices) in a
-small LRU cache: a staged run computes one transform per sparse stage, read
-first by the ring choice and then by the prediction lift in dmf_target.
+call returns each token's distance to its nearest anchor, which a
+sampling plan ranks the ring candidates by (nearest_anchor returns both).
+Nothing here is cached: the plan that calls it is.
 
 The blur is scipy.ndimage.gaussian_filter over the two grid axes with
 edge-replicating ("nearest") padding.  Its scale tracks anchor density:
@@ -33,13 +34,20 @@ it stays odd and roughly spans 3 sigma.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .grid import ActiveBlock, IndexSet, TokenGrid
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
+
+
+# lift_operator builds its blur passes this many sparse terms at a time
+OPERATOR_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -56,47 +64,39 @@ def blur_params(m: int, n: int) -> BlurSpec:
     return BlurSpec(sigma, kernel_size)
 
 
-def owner_map(active: IndexSet, h: int, w: int) -> np.ndarray:
-    """Index into active.indices of each token's nearest anchor.
+def nearest_anchor(active: IndexSet, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """(owner map, anchor distance) of an active set, from one transform.
 
-    Distance is Euclidean between (row, col) grid coordinates; ties go to
-    the anchor with the lower row-major index.  Returns a read-only int64
-    array of length h * w, shared between calls with the same set.
+    The owner map is the int64 index into active.indices of each token's
+    nearest anchor: distance is Euclidean between (row, col) grid
+    coordinates, and ties go to the anchor with the lower row-major index.
+    The distance is each token's float64 Euclidean distance to that anchor,
+    in tokens: the square root of an integer squared distance, 0 at the
+    anchors.  Both have length h * w and are fresh arrays.
     Precondition: active holds at least one index over h * w tokens.
     """
-    return _cached_owner_map(h, w, active.indices.tobytes())[0]
-
-
-def anchor_distance(active: IndexSet, h: int, w: int) -> np.ndarray:
-    """Euclidean distance from each token to its nearest anchor, in tokens.
-
-    Each entry is the float64 square root of an integer squared distance, 0
-    at the anchors.  Returns a read-only array of length h * w, shared
-    between calls with the same set and computed with its owner map.
-    Precondition: as for owner_map.
-    """
-    return _cached_owner_map(h, w, active.indices.tobytes())[1]
-
-
-@functools.lru_cache(maxsize=8)
-def _cached_owner_map(h: int, w: int, key: bytes) -> tuple[np.ndarray, np.ndarray]:
     from scipy.ndimage import distance_transform_edt
 
-    anchors = np.frombuffer(key, dtype=np.int64)
-    n, m = h * w, len(anchors)
+    n, m = h * w, len(active)
     rank = np.full(n, m, dtype=np.int64)  # anchor index of each token, m elsewhere
-    rank[anchors] = np.arange(m)
+    rank[active.indices] = np.arange(m)
     # Transposed so that scipy's last 1-D pass runs along rows: among equidistant
     # anchors it keeps the lowest (row, col), which is the lowest anchor index.
     dist, nearest = distance_transform_edt(
         (rank == m).reshape(h, w).T, return_distances=True, return_indices=True
     )
     cols, rows = nearest.astype(np.int64).transpose(0, 2, 1)
-    owner = rank[rows * w + cols].ravel()
-    dist = dist.T.ravel()  # a copy in (row, col) order
-    owner.setflags(write=False)
-    dist.setflags(write=False)
-    return owner, dist
+    return rank[rows * w + cols].ravel(), dist.T.ravel()
+
+
+def owner_map(active: IndexSet, h: int, w: int) -> np.ndarray:
+    """Index into active.indices of each token's nearest anchor (see nearest_anchor)."""
+    return nearest_anchor(active, h, w)[0]
+
+
+def anchor_distance(active: IndexSet, h: int, w: int) -> np.ndarray:
+    """Euclidean distance from each token to its nearest anchor (see nearest_anchor)."""
+    return nearest_anchor(active, h, w)[1]
 
 
 def nearest_fill(block: ActiveBlock, active: IndexSet, shape: tuple[int, int, int]) -> TokenGrid:
@@ -125,8 +125,8 @@ def lift(block: ActiveBlock, active: IndexSet, shape: tuple[int, int, int]) -> T
     Composition M * Z_nn + (1 - M) * Z_blur, where M marks anchors.  The
     anchor rows are written by direct scatter of the block values, so
     gather(lift(b, set), set) == b holds bitwise; for the full set the
-    result is the block itself.  The engine lifts one sparse set per
-    transition: the anchors' clean prediction in dmf_target.
+    result is the block itself.  A run reads it only at ring rows, through
+    lift_operator; dmf_target and the tests call it as their reference.
     Precondition: active is a non-empty set over h * w tokens, and block
     holds its len(active) x d rows.
     """
@@ -137,3 +137,51 @@ def lift(block: ActiveBlock, active: IndexSet, shape: tuple[int, int, int]) -> T
     # values are finite, because nearest_fill's grid holds every one of them
     z_blur.data[active.indices] = block.values
     return z_blur
+
+
+def lift_operator(active: IndexSet, rows: IndexSet, h: int, w: int) -> csr_matrix:
+    """lift at rows outside the anchors, as a sparse CSR matrix.
+
+    P = (B_h (x) B_w)[rows] . O, where O is the one-hot owner map (h*w x m)
+    and B_h, B_w are the 1-D Gaussian blur matrices of lift's blur, with
+    replicate padding folded into their edge columns.  Cast to float32,
+    P @ block.values in float64 is gather(lift(block, active, shape), rows):
+    the same weights summed in another order, so it is bitwise equal
+    wherever float32 rounding hides the float64 difference.  The passes are
+    built OPERATOR_CHUNK terms at a time, so memory grows with the nonzeros
+    of P and of the horizontal pass, not with len(rows) times the kernel
+    length.  Returns a matrix of shape (len(rows), len(active)).
+    Precondition: rows is non-empty and disjoint from active, both over
+    h * w tokens.
+    """
+    from scipy import sparse
+    from scipy.ndimage import gaussian_filter1d
+
+    spec = blur_params(len(active), h * w)
+    r = spec.kernel_size // 2
+    offsets = np.arange(-r, r + 1)
+    taps = gaussian_filter1d((offsets == 0).astype(np.float64), spec.sigma, mode="constant",
+                             radius=r)  # lift's own weights
+    step = max(1, OPERATOR_CHUNK // len(taps))
+
+    def blur_pass(tokens: np.ndarray, vertical: bool, columns: np.ndarray, n_cols: int):
+        """Rows of one 1-D pass at tokens, each tap's source token mapped to a
+        column by `columns`; taps landing on one column are summed."""
+        i, j = np.divmod(tokens[:, None], w)
+        if vertical:
+            src = np.clip(i + offsets, 0, h - 1) * w + j
+        else:
+            src = i * w + np.clip(j + offsets, 0, w - 1)
+        entry_rows = np.repeat(np.arange(len(tokens)), len(taps))
+        return sparse.csr_matrix((np.broadcast_to(taps, src.shape).ravel(),
+                                  (entry_rows, columns[src].ravel())), shape=(len(tokens), n_cols))
+
+    n = h * w
+    owner = owner_map(active, h, w)
+    across = sparse.vstack([blur_pass(np.arange(k, min(k + step, n)), False, owner, len(active))
+                            for k in range(0, n, step)], format="csr")  # (I (x) B_w) . O
+    identity = np.arange(n)
+    op = sparse.vstack([blur_pass(rows.indices[k:k + step], True, identity, n) @ across
+                        for k in range(0, len(rows), step)], format="csr")
+    op.sort_indices()
+    return op

@@ -2,18 +2,22 @@
 
 A run's state is its initial noise x0, which the loop never writes, plus
 one array of the active rows in token order; inactive tokens hold x0.
-Each solver step evaluates the field on a copy of the active rows and
-takes an explicit Euler step on those rows alone, so a sparse step costs
-O(m) work.  The step that closes a stage hands its velocity block to the
-transition before its Euler update: the transition picks the new tokens,
-and each gets the micro-flow target at the boundary time built from its
-own row of x0.  The next step merges those targets into the rows.  No
-full-grid array is built but x0, the opt-in snapshots and the endpoint:
-a snapshot is x0 with the rows scattered onto it, and the endpoint is
-the rows of the final stage, which is dense.  A run draws only
-its initial noise and its selector, so it is a deterministic function of
-the two.  A single-stage dense schedule reduces bit-for-bit to plain
-Euler flow matching.
+Which tokens are active at each step is not the loop's choice: it reads a
+sampling plan (transition.sampling_plan), cached per (h, w, stage token
+counts), that holds the first set and, per stage boundary, the ring, the
+merged set, the merge order and the ring's seat operator.  Each solver
+step evaluates the field on a copy of the active rows and takes an
+explicit Euler step on those rows alone, so a sparse step costs O(m)
+work.  The step that closes a stage hands its velocity block to the
+transition before its Euler update: each ring token gets the micro-flow
+target at the boundary time, built from the anchors' clean prediction and
+its own row of x0.  The next step merges those targets into the rows in
+the plan's order.  No full-grid array is built but x0, the opt-in
+snapshots and the endpoint: a snapshot is x0 with the rows scattered onto
+it, and the endpoint is the rows of the final stage, which is dense.  A
+run draws only its initial noise, so it is a deterministic function of
+it.  A single-stage dense schedule reduces bit-for-bit to plain Euler flow
+matching.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from .cost import PUBLISHED_BASELINE_STEPS, CostModel, schedule_cost, step_cost
 from .errors import EngineError, FieldContractError
 from .fields import VelocityField, initial_noise
 from .grid import ActiveBlock, IndexSet, TokenGrid
-from .schedule import StageSchedule, initial_selector
-from .transition import TransitionRecord, apply_transition
+from .schedule import StageSchedule
+from .transition import TransitionRecord, apply_transition, sampling_plan
 
 
 def _evaluate(field: VelocityField, block: ActiveBlock, active: IndexSet, t: float) -> ActiveBlock:
@@ -94,8 +98,9 @@ def run(
     ledger = schedule_cost(schedule, model, n, baseline_steps)
     counts = schedule.active_counts(n)
     x0 = initial_noise(shape, seed)  # read, never written
-    active = initial_selector(h, w, counts[0], seed)
-    boundaries = set(schedule.transition_steps)
+    plan = sampling_plan(h, w, counts)
+    boundaries = dict(zip(schedule.transition_steps, plan.boundaries))
+    active = plan.first
     stage = 0
     steps: list[StepRecord] = []
     transitions: list[TransitionRecord] = []
@@ -104,10 +109,9 @@ def run(
     for i in range(schedule.nfe):
         t_i = float(schedule.timesteps[i])
         if i in boundaries:  # seat the targets the closing step built
-            merged = np.concatenate([active.indices, transitions[-1].activated.indices])
-            order = np.argsort(merged)
-            rows = np.concatenate([rows, transitions[-1].target_values.values])[order]
-            active = IndexSet(n, merged[order])
+            seated = np.concatenate([rows, transitions[-1].target_values.values])
+            rows = np.take(seated, boundaries[i].order, axis=0)
+            active = boundaries[i].merged
             stage += 1
         # the field gets a copy: what it does to its input cannot reach the rows
         block = ActiveBlock(len(active), d, rows.copy())
@@ -118,9 +122,8 @@ def run(
         steps.append(StepRecord(i, t_i, stage, len(active), step_cost(len(active), model)))
         if i + 1 in boundaries:  # this step closes its stage
             transitions.append(apply_transition(
-                ActiveBlock(len(active), d, rows), out, active, x0, t_i,
-                float(schedule.timesteps[i + 1]), counts[stage + 1] - counts[stage],
-                i + 1, stage,
+                boundaries[i + 1], ActiveBlock(len(active), d, rows), out, x0, t_i,
+                float(schedule.timesteps[i + 1]), i + 1, stage,
             ))
         rows += out.values * np.float32(schedule.timesteps[i + 1] - schedule.timesteps[i])
         if opts.snapshot_stride and (i + 1) % opts.snapshot_stride == 0:

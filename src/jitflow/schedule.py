@@ -9,18 +9,22 @@ alpha and beta mirrors the grid (t -> 1 - t).
 The quantiles come from scipy.special.betaincinv, imported on first use so
 that uniform schedules never load scipy; tests check them against an
 independent adaptive-quadrature oracle.
+
+The initial selector draws nothing: it ranks tokens boundary first, then by
+an ordered-dither key, so a run's first anchor set is a function of the
+grid size and the budget alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BudgetError, ParameterError, ScheduleError
-from .grid import IndexSet, full_set
-from .rng import UniformStream, derive_seed
+from .grid import IndexSet
 
 # ---------------------------------------------------------------------------
 # warped timesteps
@@ -162,26 +166,42 @@ def base_selector_indices(h_tok: int, w_tok: int) -> np.ndarray:
     return np.flatnonzero(strided | boundary)
 
 
-def initial_selector(h_tok: int, w_tok: int, budget: int, seed: int) -> IndexSet:
-    """Coarsest-stage anchor set: strided lattice + boundary, resized to budget.
+@functools.lru_cache(maxsize=8)
+def dither_key(h: int, w: int) -> np.ndarray:
+    """Ordered-dither rank of each token of an h x w grid (Bayer 1973).
 
-    When the base set misses the budget, supplementary indices are drawn
-    uniformly from the complement; excess tokens are dropped uniformly over
-    the whole base set.  Both draws come from a dedicated sub-stream of the
-    seed, so the selector never perturbs noise generation.  A budget of
-    every token returns the full set without drawing.
+    Token (row, col) gets the bits of (row xor col, row) interleaved, the
+    former above the latter, with the coordinates' lowest bits in the
+    key's highest places.  On a 2^b x 2^b square the keys below 4^k then
+    mark one token per 2^(b-k) x 2^(b-k) block, so every prefix of the key
+    order is spread evenly.  Keys are distinct and draw no randomness.
+    Returns a read-only int64 array of length h * w, shared between calls.
+    """
+    bits = max(h - 1, w - 1).bit_length()
+    rows, cols = np.divmod(np.arange(h * w, dtype=np.int64), w)
+    mixed = rows ^ cols
+    key = np.zeros(h * w, dtype=np.int64)
+    for k in range(bits):
+        place = 2 * (bits - 1 - k)
+        key |= ((mixed >> k) & 1) << (place + 1) | ((rows >> k) & 1) << place
+    key.setflags(write=False)
+    return key
+
+
+def initial_selector(h_tok: int, w_tok: int, budget: int) -> IndexSet:
+    """Coarsest-stage anchor set: the first `budget` tokens in selector order.
+
+    The order takes the boundary tokens first, then the interior ones, each
+    group by ascending dither_key.  Every even-even token has a lower key
+    than every other token, so an exact budget of len(base_selector_indices)
+    returns the base set; a smaller budget keeps a subset of it and a larger
+    one a superset.  The set depends only on (h_tok, w_tok, budget): it
+    draws nothing.
     """
     n = h_tok * w_tok
     if not 1 <= budget <= n:
         raise BudgetError(f"budget {budget} outside [1, {n}]")
-    if budget == n:
-        return full_set(n)
-    base = base_selector_indices(h_tok, w_tok)
-    stream = UniformStream(derive_seed(seed, "selector"))
-    member = np.zeros(n, dtype=bool)
-    member[base] = True
-    if len(base) > budget:
-        member[stream.choose(base, len(base) - budget)] = False
-    else:
-        member[stream.choose(np.flatnonzero(~member), budget - len(base))] = True
-    return IndexSet(n, np.flatnonzero(member))
+    rows, cols = np.divmod(np.arange(n, dtype=np.int64), w_tok)
+    interior = (rows > 0) & (rows < h_tok - 1) & (cols > 0) & (cols < w_tok - 1)
+    order = np.lexsort((dither_key(h_tok, w_tok), interior))
+    return IndexSet(n, np.sort(order[:budget]))

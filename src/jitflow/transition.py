@@ -16,11 +16,17 @@ window; its closed form reaches y* exactly at t = T, so the engine assigns
 the target directly and the flow exists as a tested equivalence.
 
 The tokens woken at a boundary (the ring) are the inactive tokens farthest
-from their nearest anchor, read from the distance transform that also
-serves the lift of Phi, so a transition lifts nothing but Phi.  Ties in
-distance are common on a lattice-like anchor set; they go in the
-ordered-dither order of Bayer (1973), so that a ring cut from a tie class
-spreads evenly over the grid instead of filling it from the top rows.
+from their nearest anchor.  Ties in distance are common on a lattice-like
+anchor set; they go in the ordered-dither order of Bayer (1973), so that a
+ring cut from a tie class spreads evenly over the grid instead of filling
+it from the top rows.  The ring depends on the active set alone, and the
+first set on the grid size and its budget alone, so every set, ring and
+merge order of a run is fixed by (h, w, stage token counts): a
+SamplingPlan, built once per such key and shared by every seed.  The plan
+also holds, per boundary, the ring rows of the lift as a sparse operator
+(interp.lift_operator), so a transition computes Phi on the ring from the
+anchors' clean prediction with one sparse product.  dmf_target builds the
+same target through the full-grid lift and is kept as the reference.
 apply_transition only builds the record (new tokens, targets, anchor
 distances) from the anchors' rows and velocity block; the sampling loop
 seats the targets at the boundary step.
@@ -30,18 +36,32 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ParameterError
 from .grid import ActiveBlock, IndexSet, TokenGrid, complement
 from .importance import ImportanceMap, top_tokens
-from .interp import anchor_distance, lift
+from .interp import anchor_distance, lift, lift_operator
+from .schedule import dither_key, initial_selector
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 
 def predict_clean(y: ActiveBlock, t: float, v: ActiveBlock) -> ActiveBlock:
     """One-step clean-data estimate y_hat(1) = y + (1 - t) * v, for t in [0, 1)."""
     return ActiveBlock(y.m, y.d, y.values + v.values * np.float32(1.0 - t))
+
+
+def _micro_flow(phi_ring: np.ndarray, ring: IndexSet, t_boundary: float,
+                noise: TokenGrid) -> ActiveBlock:
+    """T * Phi + (1 - T) * noise in float32, at the ring rows."""
+    w = np.float32(t_boundary)
+    noise_ring = np.take(noise.data, ring.indices, axis=0)
+    vals = w * phi_ring + (np.float32(1.0) - w) * noise_ring
+    return ActiveBlock(len(ring), noise.d, vals)
 
 
 def dmf_target(
@@ -58,11 +78,7 @@ def dmf_target(
     from anchors, and t_boundary lies in [0, 1].
     """
     phi = lift(y_hat, anchors, noise.shape)
-    w = np.float32(t_boundary)
-    phi_ring = np.take(phi.data, ring.indices, axis=0)
-    noise_ring = np.take(noise.data, ring.indices, axis=0)
-    vals = w * phi_ring + (np.float32(1.0) - w) * noise_ring
-    return ActiveBlock(len(ring), y_hat.d, vals)
+    return _micro_flow(np.take(phi.data, ring.indices, axis=0), ring, t_boundary, noise)
 
 
 def hitting_flow(z0, target, t_boundary: float, delta: float, t: float):
@@ -82,26 +98,60 @@ def hitting_flow(z0, target, t_boundary: float, delta: float, t: float):
     return target - (target - z0) * ((t_boundary - t) / delta)
 
 
-@functools.lru_cache(maxsize=8)
-def dither_key(h: int, w: int) -> np.ndarray:
-    """Ordered-dither rank of each token of an h x w grid (Bayer 1973).
+@dataclass(frozen=True)
+class PlanBoundary:
+    """One stage boundary of a SamplingPlan; every array is read-only."""
 
-    Token (row, col) gets the bits of (row xor col, row) interleaved, the
-    former above the latter, with the coordinates' lowest bits in the
-    key's highest places.  On a 2^b x 2^b square the keys below 4^k then
-    mark one token per 2^(b-k) x 2^(b-k) block, so every prefix of the key
-    order is spread evenly.  Keys are distinct and draw no randomness.
-    Returns a read-only int64 array of length h * w, shared between calls.
+    ring: IndexSet  # the tokens it wakes
+    merged: IndexSet  # the active set after it
+    order: np.ndarray  # merged.indices == concatenate([anchors, ring])[order]
+    anchor_distance: ImportanceMap  # each token's distance to the anchors before it
+    seat: csr_matrix  # lift_operator(anchors, ring): len(ring) x len(anchors)
+
+
+@dataclass(frozen=True)
+class SamplingPlan:
+    """A run's token plan: its first anchor set and each stage boundary."""
+
+    first: IndexSet
+    boundaries: tuple[PlanBoundary, ...]
+
+
+def plan_boundary(active: IndexSet, new_count: int, h: int, w: int) -> PlanBoundary:
+    """The boundary that wakes new_count tokens next to the anchor set active.
+
+    The inactive tokens farthest from their nearest anchor win, ties going
+    to the lower dither_key.  Precondition: 1 <= new_count <= the number of
+    inactive tokens of the h x w grid.
     """
-    bits = max(h - 1, w - 1).bit_length()
-    rows, cols = np.divmod(np.arange(h * w, dtype=np.int64), w)
-    mixed = rows ^ cols
-    key = np.zeros(h * w, dtype=np.int64)
-    for k in range(bits):
-        place = 2 * (bits - 1 - k)
-        key |= ((mixed >> k) & 1) << (place + 1) | ((rows >> k) & 1) << place
-    key.setflags(write=False)
-    return key
+    dist = ImportanceMap(h, w, anchor_distance(active, h, w))
+    ring = top_tokens(dist, complement(active), new_count, dither_key(h, w))
+    joined = np.concatenate([active.indices, ring.indices])
+    order = np.argsort(joined)
+    merged = IndexSet(h * w, joined[order])
+    seat = lift_operator(active, ring, h, w)
+    for arr in (ring.indices, merged.indices, order, dist.scores,
+                seat.data, seat.indices, seat.indptr):
+        arr.setflags(write=False)
+    return PlanBoundary(ring, merged, order, dist, seat)
+
+
+@functools.lru_cache(maxsize=4)
+def sampling_plan(h: int, w: int, counts: tuple[int, ...]) -> SamplingPlan:
+    """The plan of a run over an h x w grid whose stages hold counts tokens.
+
+    The first set is initial_selector's; each boundary wakes the next
+    stage's new tokens (plan_boundary).  Cached: every seed of a schedule
+    shares one plan, and no caller may write to it.  Precondition: counts
+    is a schedule's active_counts(h * w).
+    """
+    first = initial_selector(h, w, counts[0])
+    first.indices.setflags(write=False)
+    active, boundaries = first, []
+    for before, after in zip(counts, counts[1:]):
+        boundaries.append(plan_boundary(active, after - before, h, w))
+        active = boundaries[-1].merged
+    return SamplingPlan(first, tuple(boundaries))
 
 
 @dataclass(frozen=True)
@@ -120,30 +170,27 @@ class TransitionRecord:
 
 
 def apply_transition(
+    boundary: PlanBoundary,
     anchors: ActiveBlock,
     velocity: ActiveBlock,
-    active: IndexSet,
     noise: TokenGrid,
     t: float,
     t_boundary: float,
-    new_count: int,
     step_index: int,
     stage_from: int,
 ) -> TransitionRecord:
-    """Choose new_count tokens to activate at t_boundary and their targets.
+    """The targets of the boundary's ring at t_boundary, as a record.
 
-    anchors and velocity are the state's and the velocity's active rows at
-    time t.  The inactive candidates farthest from their nearest anchor
-    win, ties going to the lower dither_key; the winners get the
+    anchors and velocity are the state's and the velocity's rows at time t
+    of the set the boundary starts from.  Each ring token gets the
     micro-flow target built from the Tweedie prediction of the anchors'
-    rows and from their own rows of the run's initial noise.
-    Preconditions: 1 <= new_count <= the number of inactive tokens, and t
-    lies in [0, 1).  No input is modified, and the record shares no memory
-    with them; the caller seats the targets.
+    rows, lifted by the boundary's seat operator in float64 and rounded to
+    float32, and from its own row of the run's initial noise.
+    Precondition: t lies in [0, 1).  No input is modified, and the targets
+    share no memory with them; the caller seats the targets.
     """
-    h, w, _ = noise.shape
-    dist = ImportanceMap(h, w, anchor_distance(active, h, w))
-    ring = top_tokens(dist, complement(active), new_count, dither_key(h, w))
     y_hat = predict_clean(anchors, t, velocity)
-    target = dmf_target(y_hat, active, ring, t_boundary, noise)
-    return TransitionRecord(step_index, stage_from, ring, target, dist)
+    phi_ring = (boundary.seat @ y_hat.values.astype(np.float64)).astype(np.float32)
+    target = _micro_flow(phi_ring, boundary.ring, t_boundary, noise)
+    return TransitionRecord(step_index, stage_from, boundary.ring, target,
+                            boundary.anchor_distance)

@@ -8,14 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jitflow.grid import ActiveBlock, TokenGrid, full_set, gather, index_set
+from jitflow import interp
+from jitflow.grid import ActiveBlock, TokenGrid, complement, full_set, gather, index_set
 from jitflow.interp import (
     BlurSpec,
-    _cached_owner_map,
     anchor_distance,
     blur_params,
     gaussian_blur,
     lift,
+    lift_operator,
+    nearest_anchor,
     nearest_fill,
     owner_map,
 )
@@ -103,7 +105,7 @@ def test_owner_map_equals_brute_force(data):
         idx = base_selector_indices(h, w)
     elif kind == "selector":
         budget = data.draw(st.integers(1, n))
-        idx = initial_selector(h, w, budget, data.draw(st.integers(0, 1000))).indices
+        idx = initial_selector(h, w, budget).indices
     elif kind == "one":
         idx = [data.draw(st.integers(0, n - 1))]
     else:
@@ -121,7 +123,7 @@ def test_owner_map_lattices_at_sampler_sizes():
     # initial_selector lattices of the presets' first stages, as runs see them
     for h, w in ((64, 64), (48, 48), (40, 24)):
         for budget in (int(0.35 * h * w), int(0.62 * h * w)):
-            active = initial_selector(h, w, budget, seed=5)
+            active = initial_selector(h, w, budget)
             assert np.array_equal(
                 owner_map(active, h, w), brute_owner_map(active.indices, h, w)
             )
@@ -155,7 +157,6 @@ def test_owner_map_comb_memory():
     # must still take memory linear in N
     h = w = 512
     owner_map(index_set(4, [0]), 2, 2)  # import scipy.ndimage before tracing
-    _cached_owner_map.cache_clear()
     active = index_set(h * w, range(0, w, 2))
     tracemalloc.start()
     try:
@@ -209,16 +210,6 @@ def test_owner_map_cache_key_includes_grid_shape():
     assert not np.array_equal(wide, tall)
 
 
-def test_owner_map_is_cached_and_read_only():
-    active = index_set(48, [3, 17, 30, 44])
-    first = owner_map(active, 6, 8)
-    again = owner_map(index_set(48, [3, 17, 30, 44]), 6, 8)
-    assert again is first  # one map per distinct active set
-    assert not first.flags.writeable
-    with pytest.raises(ValueError):
-        first[0] = 1
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_anchor_distance_equals_brute_force(data):
@@ -230,7 +221,7 @@ def test_anchor_distance_equals_brute_force(data):
         idx = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
     elif kind == "selector":
         budget = data.draw(st.integers(1, n))
-        idx = initial_selector(h, w, budget, data.draw(st.integers(0, 1000))).indices
+        idx = initial_selector(h, w, budget).indices
     else:
         idx = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 3)))
     active = index_set(n, sorted(idx))
@@ -242,22 +233,63 @@ def test_anchor_distance_equals_brute_force(data):
 
 
 def test_anchor_distance_shares_the_owner_map_transform():
-    # one distance transform serves both: the second read is a cache hit
-    _cached_owner_map.cache_clear()
+    # one transform returns both; the distance is the one to the owner the map names
     active = index_set(40 * 24, range(0, 40 * 24, 7))
-    dist = anchor_distance(active, 40, 24)
-    owner_map(active, 40, 24)
-    info = _cached_owner_map.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    assert anchor_distance(active, 40, 24) is dist
-    assert not dist.flags.writeable
-    with pytest.raises(ValueError):
-        dist[0] = 1.0
-    # the distance is the one to the owner the map names
-    owner = active.indices[owner_map(active, 40, 24)]
+    owner, dist = nearest_anchor(active, 40, 24)
+    assert np.array_equal(owner, owner_map(active, 40, 24))
+    assert np.array_equal(dist, anchor_distance(active, 40, 24))
     tokens = np.arange(40 * 24)
-    want = np.hypot(tokens // 24 - owner // 24, tokens % 24 - owner % 24)
+    anchor = active.indices[owner]
+    want = np.hypot(tokens // 24 - anchor // 24, tokens % 24 - anchor % 24)
     assert np.allclose(dist, want, rtol=1e-15, atol=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_lift_operator_equals_lift_at_the_ring(data):
+    # the sparse operator, applied in float64 and rounded to float32, gives
+    # lift's values bitwise at every token outside the anchors
+    shape = data.draw(st.sampled_from(["row", "column", "grid"]), label="shape")
+    h = 1 if shape == "row" else data.draw(st.integers(1, 64 if shape == "column" else 40))
+    w = 1 if shape == "column" else data.draw(st.integers(1, 64 if shape == "row" else 40))
+    n = h * w
+    if n < 2:
+        return
+    density = data.draw(st.sampled_from(["one", "sparse", "any"]), label="density")
+    m = {"one": 1, "sparse": max(1, round(0.05 * n)), "any": None}[density]
+    if m is None:
+        m = data.draw(st.integers(1, n - 1), label="m")
+    if data.draw(st.booleans(), label="selector"):
+        active = initial_selector(h, w, m)
+    else:
+        idx = data.draw(st.sets(st.integers(0, n - 1), min_size=m, max_size=m))
+        active = index_set(n, sorted(idx))
+    pool = complement(active).indices
+    picked = data.draw(st.sets(st.sampled_from(pool.tolist()), min_size=1), label="ring")
+    ring = index_set(n, sorted(picked))
+    d = data.draw(st.integers(1, 4), label="d")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    values = rng.standard_normal((m, d)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(1, d))
+    block = ActiveBlock(m, d, values.astype(np.float32))
+    op = lift_operator(active, ring, h, w)
+    assert op.shape == (len(ring), m)
+    assert np.allclose(np.asarray(op.sum(axis=1)).ravel(), 1.0, rtol=0.0, atol=1e-12)
+    got = (op @ block.values.astype(np.float64)).astype(np.float32)
+    want = gather(lift(block, active, (h, w, d)), ring).values
+    assert got.tobytes() == want.tobytes()
+
+
+def test_lift_operator_is_built_the_same_in_chunks(monkeypatch):
+    # a wide kernel (5 taps) built 7 terms at a time gives the same matrix
+    h, w = 23, 17
+    active = initial_selector(h, w, 20)
+    ring = complement(active)
+    assert blur_params(20, h * w).kernel_size > 3
+    whole = lift_operator(active, ring, h, w)
+    monkeypatch.setattr(interp, "OPERATOR_CHUNK", 7)
+    chunked = lift_operator(active, ring, h, w)
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(chunked, part), getattr(whole, part))
 
 
 def test_gaussian_blur_constant_invariance():

@@ -15,6 +15,7 @@ from jitflow.fields import (
     reference_solve,
 )
 from jitflow import importance, interp, sampler, transition
+from jitflow import schedule as schedule_module
 from jitflow.grid import ActiveBlock, complement, gather, index_set
 from jitflow.rng import UniformStream
 from jitflow.sampler import RunOptions, run
@@ -134,7 +135,7 @@ def test_run_reduced_system_equivalence_stage0():
     seed = 23
     report = run(schedule, field, shape, seed, options=RunOptions(snapshot_stride=1))
     counts = schedule.active_counts(64)
-    active0 = initial_selector(8, 8, counts[0], seed)
+    active0 = initial_selector(8, 8, counts[0])
     z = gather(initial_noise(shape, seed), active0)
     for k in range(7):
         out = field.evaluate(z, active0, float(schedule.timesteps[k]))
@@ -230,7 +231,7 @@ def test_run_snapshots_step_anchor_rows_and_keep_inactive_rows_seated():
     report = run(schedule, field, shape, seed, options=RunOptions(snapshot_stride=1))
     noise = initial_noise(shape, seed).data
     state = noise.copy()
-    active = initial_selector(8, 8, schedule.active_counts(64)[0], seed)
+    active = initial_selector(8, 8, schedule.active_counts(64)[0])
     seated = iter(report.transitions)
     for k in range(schedule.nfe):
         if k in schedule.transition_steps:
@@ -279,7 +280,7 @@ def test_run_stage_sets_are_nested_and_end_dense(schedule, h, w, d, seed):
         assume(False)
     shape = (h, w, d)
     report = run(schedule, bump_field(shape, 0.5), shape, seed)
-    covered = initial_selector(h, w, counts[0], seed).mask()
+    covered = initial_selector(h, w, counts[0]).mask()
     assert len(report.transitions) == len(counts) - 1
     for k, rec in enumerate(report.transitions):
         assert not np.any(covered[rec.activated.indices])
@@ -308,29 +309,31 @@ def test_staged_runs_track_the_exact_flow_map(preset):
     assert np.mean(errs) <= 0.76
 
 
-def test_run_lifts_only_before_stage_boundaries(monkeypatch):
-    # a jit4x run lifts only inside its two transitions, and only the clean
-    # prediction; the ring's anchor distance and that lift share one owner
-    # map per sparse set, and no importance map is built
-    lifted = []
-
-    def counting_lift(block, active, shape):
-        lifted.append(len(active))
-        return interp.lift(block, active, shape)
-
-    def no_importance(velocity):
-        raise AssertionError("run built an importance map")
-
-    monkeypatch.setattr(transition, "lift", counting_lift)
-    monkeypatch.setattr(importance, "importance_map", no_importance)
-    assert not hasattr(transition, "importance_map")  # no binding the patch misses
-    interp._cached_owner_map.cache_clear()
+def test_runs_read_one_cached_plan(monkeypatch):
+    # a run's token plan depends on (h, w, stage counts) alone: five seeds
+    # build it once, wake the same rings, and call none of the functions
+    # that build it, nor the full-grid lift the seat operator replaces
     shape = (16, 16, 3)
-    report = run(preset_schedule("jit4x"), bump_field(shape, 0.5), shape, seed=11)
-    assert lifted == [90, 159]
-    assert [rec.step_index for rec in report.transitions] == [7, 11]
-    cache = interp._cached_owner_map.cache_info()
-    assert (cache.misses, cache.hits) == (2, 2)
+    schedule = preset_schedule("jit4x")
+    transition.sampling_plan.cache_clear()
+    transition.sampling_plan(16, 16, schedule.active_counts(256))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run rebuilt part of its token plan")
+
+    names = {"lift", "nearest_fill", "gaussian_blur", "top_tokens", "anchor_distance",
+             "initial_selector", "nearest_anchor", "lift_operator", "importance_map"}
+    for module in (importance, interp, schedule_module, transition, sampler):
+        for name in names & set(vars(module)):
+            monkeypatch.setattr(module, name, forbidden)
+    reports = [run(schedule, bump_field(shape, 0.5), shape, seed) for seed in range(5)]
+    cache = transition.sampling_plan.cache_info()
+    assert (cache.misses, cache.hits) == (1, 5)
+    assert [rec.step_index for rec in reports[0].transitions] == [7, 11]
+    for report in reports[1:]:
+        for rec, first in zip(report.transitions, reports[0].transitions):
+            assert np.array_equal(rec.activated.indices, first.activated.indices)
+    assert len({r.endpoint.data.tobytes() for r in reports}) == 5
 
 
 @pytest.mark.parametrize("preset", ["vanilla7", "jit4x"])

@@ -15,7 +15,9 @@ from jitflow.transition import (
     dither_key,
     dmf_target,
     hitting_flow,
+    plan_boundary,
     predict_clean,
+    sampling_plan,
 )
 
 from oracles import bayer_matrix, brute_anchor_distance
@@ -165,7 +167,8 @@ def test_apply_transition_leaves_inputs_unchanged():
     state, active, velocity = transition_inputs()
     anchors, v_block = gather(state, active), gather(velocity, active)
     before = [a.copy() for a in (anchors.values, state.data, v_block.values)]
-    record = apply_transition(anchors, v_block, active, state, 0.3, 0.35, 5, 7, 0)
+    record = apply_transition(plan_boundary(active, 5, 4, 4), anchors, v_block, state,
+                              0.3, 0.35, 7, 0)
     for arr, want in zip((anchors.values, state.data, v_block.values), before):
         assert np.array_equal(arr, want)
         for part in (record.activated.indices, record.target_values.values,
@@ -196,7 +199,8 @@ def test_apply_transition_picks_most_important_tokens():
     # row 2 in dither order; the velocity plays no part
     state, active, velocity = transition_inputs(seed=40)
     v_block = gather(velocity, active)
-    record = apply_transition(gather(state, active), v_block, active, state, 0.3, 0.35, 6, 7, 0)
+    record = apply_transition(plan_boundary(active, 6, 4, 4), gather(state, active), v_block,
+                              state, 0.3, 0.35, 7, 0)
     assert record.activated.indices.tolist() == farthest_first(active, 4, 4, 6)
     assert record.activated.indices.tolist() == [8, 10, 12, 13, 14, 15]
     assert np.array_equal(record.anchor_distance.scores,
@@ -210,7 +214,8 @@ def test_apply_transition_at_unit_boundary_uses_pure_prediction():
     active = index_set(16, [0, 1, 2, 3])
     state = const_grid(4, 4, 1, 0.8)
     record = apply_transition(
-        gather(state, active), const_block(4, 1, 0.0), active, state, 0.9, 1.0, 3, 10, 1
+        plan_boundary(active, 3, 4, 4), gather(state, active), const_block(4, 1, 0.0), state,
+        0.9, 1.0, 10, 1,
     )
     assert record.activated.indices.tolist() == [13, 14, 15]
     assert np.all(record.target_values.values == np.float32(0.8))
@@ -219,8 +224,10 @@ def test_apply_transition_at_unit_boundary_uses_pure_prediction():
 def test_apply_transition_deterministic():
     state, active, velocity = transition_inputs()
     v_block = gather(velocity, active)
-    a = apply_transition(gather(state, active), v_block, active, state, 0.3, 0.35, 5, 7, 0)
-    b = apply_transition(gather(state, active), v_block, active, state, 0.3, 0.35, 5, 7, 0)
+    a = apply_transition(plan_boundary(active, 5, 4, 4), gather(state, active), v_block, state,
+                         0.3, 0.35, 7, 0)
+    b = apply_transition(plan_boundary(active, 5, 4, 4), gather(state, active), v_block, state,
+                         0.3, 0.35, 7, 0)
     assert np.array_equal(a.activated.indices, b.activated.indices)
     assert np.array_equal(a.target_values.values, b.target_values.values)
 
@@ -230,14 +237,15 @@ def test_apply_transition_reads_noise_only_at_ring_rows():
     # finite values at every row outside the ring leave the record unchanged
     state, active, velocity = transition_inputs(seed=5)
     anchors, v_block = gather(state, active), gather(velocity, active)
-    record = apply_transition(anchors, v_block, active, state, 0.3, 0.35, 5, 7, 0)
+    boundary = plan_boundary(active, 5, 4, 4)
+    record = apply_transition(boundary, anchors, v_block, state, 0.3, 0.35, 7, 0)
     other = state.data * np.float32(-3.0) + np.float32(7.0)
     other[record.activated.indices] = state.data[record.activated.indices]
     idle = np.setdiff1d(complement(active).indices, record.activated.indices)
     for rows in (active.indices, idle):
         assert rows.size and not np.any(other[rows] == state.data[rows])
-    again = apply_transition(anchors, v_block, active, state.with_data(other),
-                             0.3, 0.35, 5, 7, 0)
+    again = apply_transition(boundary, anchors, v_block, state.with_data(other),
+                             0.3, 0.35, 7, 0)
     assert np.array_equal(again.activated.indices, record.activated.indices)
     assert np.array_equal(again.target_values.values, record.target_values.values)
     assert np.array_equal(again.anchor_distance.scores, record.anchor_distance.scores)
@@ -262,7 +270,7 @@ def test_apply_transition_picks_the_farthest_in_dither_order(data):
         return
     if data.draw(st.booleans(), label="selector"):
         budget = data.draw(st.integers(1, n - 1))
-        active = initial_selector(h, w, budget, data.draw(st.integers(0, 1000)))
+        active = initial_selector(h, w, budget)
     else:
         idx = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
         active = index_set(n, sorted(idx))
@@ -270,11 +278,39 @@ def test_apply_transition_picks_the_farthest_in_dither_order(data):
     seed = data.draw(st.integers(0, 1000))
     state = initial_noise((h, w, 2), seed)
     velocity = initial_noise((h, w, 2), seed + 1)
-    record = apply_transition(gather(state, active), gather(velocity, active), active,
-                              state, 0.3, 0.35, count, 7, 0)
+    record = apply_transition(plan_boundary(active, count, h, w), gather(state, active),
+                              gather(velocity, active), state, 0.3, 0.35, 7, 0)
     assert record.activated.indices.tolist() == farthest_first(active, h, w, count)
     assert np.array_equal(record.anchor_distance.scores,
                           brute_anchor_distance(active.indices, h, w))
+
+
+@pytest.mark.parametrize("h, w, counts", [(8, 8, (22, 40, 64)), (5, 7, (3, 35)),
+                                           (1, 9, (2, 3, 9)), (16, 12, (67, 119, 192))])
+def test_sampling_plan_chains_its_boundaries(h, w, counts):
+    # each boundary starts from the set the previous one made, its merge
+    # order sorts the anchors followed by the ring, and no array is writable
+    plan = sampling_plan(h, w, counts)
+    assert np.array_equal(plan.first.indices, initial_selector(h, w, counts[0]).indices)
+    assert len(plan.boundaries) == len(counts) - 1
+    active = plan.first
+    arrays = [active.indices]
+    for boundary, count in zip(plan.boundaries, counts[1:]):
+        want = plan_boundary(active, count - len(active), h, w)
+        assert np.array_equal(boundary.ring.indices, want.ring.indices)
+        assert (boundary.seat != want.seat).nnz == 0
+        joined = np.concatenate([active.indices, boundary.ring.indices])
+        assert np.array_equal(joined[boundary.order], boundary.merged.indices)
+        assert np.array_equal(boundary.merged.indices, np.union1d(active.indices,
+                                                                  boundary.ring.indices))
+        assert np.array_equal(boundary.anchor_distance.scores,
+                              brute_anchor_distance(active.indices, h, w))
+        arrays += [boundary.ring.indices, boundary.merged.indices, boundary.order,
+                   boundary.anchor_distance.scores, boundary.seat.data]
+        active = boundary.merged
+    assert len(active) == h * w
+    assert not any(arr.flags.writeable for arr in arrays)
+    assert sampling_plan(h, w, counts) is plan
 
 
 def test_jit4x_rings_spread_evenly_at_64():
@@ -306,6 +342,6 @@ def test_ring_ties_follow_the_dither_key_on_a_long_strip():
     key = dither_key(1, w)
     assert (key[1 << 16], key[1 << 17]) == (8, 2)
     assert np.float64(2.0**66 - 8) == np.float64(2.0**66 - 2)
-    record = apply_transition(gather(noise, active), const_block(3, 1, 0.0), active,
-                              noise, 0.3, 0.35, 1, 7, 0)
+    record = apply_transition(plan_boundary(active, 1, 1, w), gather(noise, active),
+                              const_block(3, 1, 0.0), noise, 0.3, 0.35, 7, 0)
     assert record.activated.indices.tolist() == [1 << 17]
