@@ -41,9 +41,10 @@ _SCALARS = (
     ("schedule", "beta", "beta", float, 1.0, None),
 )
 # h * w * d above this is refused: a jit4x run, building its analytic field
-# and its sampling plan included, peaks at about 73 bytes of numpy memory per
-# state value at 256x256x4 and 218 at 512x512x1 (tracemalloc), so ~310 MB
-# here with d = 4 and ~910 MB with d = 1
+# and its sampling plan included, peaks at about 66 bytes of numpy memory per
+# state value with d = 4 and 122 with d = 1 (tracemalloc, the same at 256^2
+# and 1024^2), so ~275 MB here with d = 4 and ~510 MB with d = 1; tests/
+# test_io.py holds the per-value figures to 70 and 130
 MAX_STATE_VALUES = 1 << 22
 # the hand-parsed keys of each section
 _STRUCTURED = {

@@ -3,9 +3,11 @@
 The engine lifts one thing at a stage transition: the anchors' clean
 prediction, which becomes the structural prior of the newly activated
 tokens.  It reads that lift only at the ring rows, through lift_operator:
-the pipeline below restricted to those rows, as one sparse matrix that a
-sampling plan builds once per boundary.  lift itself is the reference the
-operator is tested against.  The pipeline is
+the pipeline below restricted to those rows, which a sampling plan builds
+once per boundary as the owner of every token each ring row's blur reads.
+Applied to the anchors' values it sums the same float64 terms as the
+blur, in the same order.  lift itself is the reference the operator is
+tested against.  The pipeline is
 
     1. nearest-neighbor fill from the anchors,
     2. a density-matched separable Gaussian blur,
@@ -36,18 +38,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .grid import ActiveBlock, IndexSet, TokenGrid
 
-if TYPE_CHECKING:
-    from scipy.sparse import csr_matrix
-
-
-# lift_operator builds its blur passes this many sparse terms at a time
-OPERATOR_CHUNK = 1 << 16
+# a RingLift is built and applied this many blur taps at a time
+OPERATOR_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -85,8 +82,10 @@ def nearest_anchor(active: IndexSet, h: int, w: int) -> tuple[np.ndarray, np.nda
     dist, nearest = distance_transform_edt(
         (rank == m).reshape(h, w).T, return_distances=True, return_indices=True
     )
-    cols, rows = nearest.astype(np.int64).transpose(0, 2, 1)
-    return rank[rows * w + cols].ravel(), dist.T.ravel()
+    cols, rows = nearest.transpose(0, 2, 1)  # int32 from scipy, so h * w < 2**31 here
+    flat = rows * w
+    flat += cols
+    return rank[flat].ravel(), dist.T.ravel()
 
 
 def owner_map(active: IndexSet, h: int, w: int) -> np.ndarray:
@@ -139,49 +138,67 @@ def lift(block: ActiveBlock, active: IndexSet, shape: tuple[int, int, int]) -> T
     return z_blur
 
 
-def lift_operator(active: IndexSet, rows: IndexSet, h: int, w: int) -> csr_matrix:
-    """lift at rows outside the anchors, as a sparse CSR matrix.
+@dataclass(frozen=True)
+class RingLift:
+    """lift read at a fixed set of rows outside the anchors (lift_operator).
 
-    P = (B_h (x) B_w)[rows] . O, where O is the one-hot owner map (h*w x m)
-    and B_h, B_w are the 1-D Gaussian blur matrices of lift's blur, with
-    replicate padding folded into their edge columns.  Cast to float32,
-    P @ block.values in float64 is gather(lift(block, active, shape), rows):
-    the same weights summed in another order, so it is bitwise equal
-    wherever float32 rounding hides the float64 difference.  The passes are
-    built OPERATOR_CHUNK terms at a time, so memory grows with the nonzeros
-    of P and of the horizontal pass, not with len(rows) times the kernel
-    length.  Returns a matrix of shape (len(rows), len(active)).
-    Precondition: rows is non-empty and disjoint from active, both over
-    h * w tokens.
+    taps holds lift's 1-D blur weights from the centre out; owners[a, b, k]
+    is the anchor index of the token at offset (a - r, b - r) of row k,
+    its coordinates clipped to the grid, r = len(taps) - 1.
     """
-    from scipy import sparse
+
+    taps: np.ndarray  # float64, length r + 1
+    owners: np.ndarray  # int32, shape (2r + 1, 2r + 1, len(rows))
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        """gather(lift(block, active, shape), rows).values for block.values.
+
+        The two 1-D passes are scipy's correlation sums for a symmetric
+        kernel, in float64 and in scipy's order (centre tap first, then
+        mirrored pairs from the outermost in), over the nearest-fill values
+        the owners name: bitwise the values lift computes at these rows,
+        wherever scipy's build rounds each multiply and add (one that fuses
+        them can differ in the last float64 bit).  Works OPERATOR_CHUNK
+        gathered taps at a time.
+        """
+        x = np.asarray(values, dtype=np.float64)
+        r = len(self.taps) - 1
+        k_rows = self.owners.shape[2]
+        out = np.empty((k_rows, x.shape[1]), dtype=np.float32)
+        step = max(1, OPERATOR_CHUNK // (2 * r + 1) ** 2)
+        for k in range(0, k_rows, step):
+            z = np.take(x, self.owners[:, :, k:k + step], axis=0)
+            u = z[r] * self.taps[0]  # the vertical pass, at each column offset
+            for a in range(r, 0, -1):
+                u += (z[r - a] + z[r + a]) * self.taps[a]
+            phi = u[r] * self.taps[0]  # then the horizontal one
+            for b in range(r, 0, -1):
+                phi += (u[r - b] + u[r + b]) * self.taps[b]
+            out[k:k + step] = phi
+        return out
+
+
+def lift_operator(owner: np.ndarray, m: int, rows: IndexSet, h: int, w: int) -> RingLift:
+    """lift of an m-anchor set at rows outside it, as a RingLift.
+
+    owner is the set's owner map (nearest_anchor).  The RingLift holds the
+    owner of every token each row's blur reads, so applying it reads no
+    full-grid array.  Built OPERATOR_CHUNK taps at a time.
+    Precondition: rows is disjoint from the anchors, over h * w tokens.
+    """
     from scipy.ndimage import gaussian_filter1d
 
-    spec = blur_params(len(active), h * w)
+    spec = blur_params(m, h * w)
     r = spec.kernel_size // 2
     offsets = np.arange(-r, r + 1)
+    # lift's own weights: a unit impulse through the same 1-D filter
     taps = gaussian_filter1d((offsets == 0).astype(np.float64), spec.sigma, mode="constant",
-                             radius=r)  # lift's own weights
-    step = max(1, OPERATOR_CHUNK // len(taps))
-
-    def blur_pass(tokens: np.ndarray, vertical: bool, columns: np.ndarray, n_cols: int):
-        """Rows of one 1-D pass at tokens, each tap's source token mapped to a
-        column by `columns`; taps landing on one column are summed."""
-        i, j = np.divmod(tokens[:, None], w)
-        if vertical:
-            src = np.clip(i + offsets, 0, h - 1) * w + j
-        else:
-            src = i * w + np.clip(j + offsets, 0, w - 1)
-        entry_rows = np.repeat(np.arange(len(tokens)), len(taps))
-        return sparse.csr_matrix((np.broadcast_to(taps, src.shape).ravel(),
-                                  (entry_rows, columns[src].ravel())), shape=(len(tokens), n_cols))
-
-    n = h * w
-    owner = owner_map(active, h, w)
-    across = sparse.vstack([blur_pass(np.arange(k, min(k + step, n)), False, owner, len(active))
-                            for k in range(0, n, step)], format="csr")  # (I (x) B_w) . O
-    identity = np.arange(n)
-    op = sparse.vstack([blur_pass(rows.indices[k:k + step], True, identity, n) @ across
-                        for k in range(0, len(rows), step)], format="csr")
-    op.sort_indices()
-    return op
+                             radius=r)[r:].copy()
+    owners = np.empty((2 * r + 1, 2 * r + 1, len(rows)), dtype=np.int32)
+    step = max(1, OPERATOR_CHUNK // (2 * r + 1) ** 2)
+    for k in range(0, len(rows), step):
+        i, j = np.divmod(rows.indices[k:k + step], w)
+        src_rows = np.clip(i + offsets[:, None], 0, h - 1) * w
+        src_cols = np.clip(j + offsets[:, None], 0, w - 1)
+        owners[:, :, k:k + step] = owner[src_rows[:, None, :] + src_cols[None, :, :]]
+    return RingLift(taps, owners)

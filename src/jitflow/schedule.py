@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, ParameterError, ScheduleError
-from .grid import IndexSet
+from .grid import IndexSet, full_set
 
 # ---------------------------------------------------------------------------
 # warped timesteps
@@ -195,13 +195,27 @@ def initial_selector(h_tok: int, w_tok: int, budget: int) -> IndexSet:
     group by ascending dither_key.  Every even-even token has a lower key
     than every other token, so an exact budget of len(base_selector_indices)
     returns the base set; a smaller budget keeps a subset of it and a larger
-    one a superset.  The set depends only on (h_tok, w_tok, budget): it
+    one a superset; a budget of every token returns the full set without
+    reading a key.  The set depends only on (h_tok, w_tok, budget): it
     draws nothing.
     """
     n = h_tok * w_tok
     if not 1 <= budget <= n:
         raise BudgetError(f"budget {budget} outside [1, {n}]")
+    if budget == n:
+        return full_set(n)
+    key = dither_key(h_tok, w_tok)
     rows, cols = np.divmod(np.arange(n, dtype=np.int64), w_tok)
     interior = (rows > 0) & (rows < h_tok - 1) & (cols > 0) & (cols < w_tok - 1)
-    order = np.lexsort((dither_key(h_tok, w_tok), interior))
-    return IndexSet(n, np.sort(order[:budget]))
+
+    def lowest(tokens: np.ndarray, count: int) -> np.ndarray:
+        """The count tokens of lowest key; keys are distinct, so a partition suffices."""
+        if count >= len(tokens):
+            return tokens
+        return tokens[np.argpartition(key[tokens], count - 1)[:count]]
+
+    edge = np.flatnonzero(~interior)
+    chosen = lowest(edge, budget)
+    if budget > len(edge):
+        chosen = np.concatenate([edge, lowest(np.flatnonzero(interior), budget - len(edge))])
+    return IndexSet(n, np.sort(chosen))

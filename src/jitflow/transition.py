@@ -23,10 +23,13 @@ it from the top rows.  The ring depends on the active set alone, and the
 first set on the grid size and its budget alone, so every set, ring and
 merge order of a run is fixed by (h, w, stage token counts): a
 SamplingPlan, built once per such key and shared by every seed.  The plan
-also holds, per boundary, the ring rows of the lift as a sparse operator
-(interp.lift_operator), so a transition computes Phi on the ring from the
-anchors' clean prediction with one sparse product.  dmf_target builds the
-same target through the full-grid lift and is kept as the reference.
+also holds, per boundary, the ring rows of the lift (interp.lift_operator:
+the owner of every token each ring row's blur reads), so a transition
+computes Phi on the ring from the anchors' clean prediction alone, with no
+full-grid array.  dmf_target builds the same target through the full-grid
+lift and is kept as the reference.  One distance transform per boundary
+gives both the distances the ring is ranked by and the owner map the lift
+reads.
 apply_transition only builds the record (new tokens, targets, anchor
 distances) from the anchors' rows and velocity block; the sampling loop
 seats the targets at the boundary step.
@@ -36,18 +39,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ParameterError
 from .grid import ActiveBlock, IndexSet, TokenGrid, complement
 from .importance import ImportanceMap, top_tokens
-from .interp import anchor_distance, lift, lift_operator
+from .interp import RingLift, lift, lift_operator, nearest_anchor
 from .schedule import dither_key, initial_selector
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_matrix
 
 
 def predict_clean(y: ActiveBlock, t: float, v: ActiveBlock) -> ActiveBlock:
@@ -104,9 +103,9 @@ class PlanBoundary:
 
     ring: IndexSet  # the tokens it wakes
     merged: IndexSet  # the active set after it
-    order: np.ndarray  # merged.indices == concatenate([anchors, ring])[order]
+    order: np.ndarray  # int32: merged.indices == concatenate([anchors, ring])[order]
     anchor_distance: ImportanceMap  # each token's distance to the anchors before it
-    seat: csr_matrix  # lift_operator(anchors, ring): len(ring) x len(anchors)
+    seat: RingLift  # lift of the anchors' values at the ring
 
 
 @dataclass(frozen=True)
@@ -124,26 +123,30 @@ def plan_boundary(active: IndexSet, new_count: int, h: int, w: int) -> PlanBound
     to the lower dither_key.  Precondition: 1 <= new_count <= the number of
     inactive tokens of the h x w grid.
     """
-    dist = ImportanceMap(h, w, anchor_distance(active, h, w))
+    n = h * w
+    owner, dist = nearest_anchor(active, h, w)  # one transform for both
+    dist = ImportanceMap(h, w, dist)
     ring = top_tokens(dist, complement(active), new_count, dither_key(h, w))
     joined = np.concatenate([active.indices, ring.indices])
-    order = np.argsort(joined)
-    merged = IndexSet(h * w, joined[order])
-    seat = lift_operator(active, ring, h, w)
-    for arr in (ring.indices, merged.indices, order, dist.scores,
-                seat.data, seat.indices, seat.indptr):
+    slot = np.zeros(n, dtype=np.int32)  # position in joined, +1; 0 off the merged set
+    slot[joined] = np.arange(1, len(joined) + 1, dtype=np.int32)
+    merged = IndexSet(n, np.flatnonzero(slot))
+    order = slot[merged.indices] - 1
+    seat = lift_operator(owner, len(active), ring, h, w)
+    for arr in (ring.indices, merged.indices, order, dist.scores, seat.taps, seat.owners):
         arr.setflags(write=False)
     return PlanBoundary(ring, merged, order, dist, seat)
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=2)
 def sampling_plan(h: int, w: int, counts: tuple[int, ...]) -> SamplingPlan:
     """The plan of a run over an h x w grid whose stages hold counts tokens.
 
     The first set is initial_selector's; each boundary wakes the next
     stage's new tokens (plan_boundary).  Cached: every seed of a schedule
-    shares one plan, and no caller may write to it.  Precondition: counts
-    is a schedule's active_counts(h * w).
+    shares one plan, and no caller may write to it.  A jit4x plan holds
+    about 67 bytes per token, and the cache keeps the last two plans.
+    Precondition: counts is a schedule's active_counts(h * w).
     """
     first = initial_selector(h, w, counts[0])
     first.indices.setflags(write=False)
@@ -184,13 +187,12 @@ def apply_transition(
     anchors and velocity are the state's and the velocity's rows at time t
     of the set the boundary starts from.  Each ring token gets the
     micro-flow target built from the Tweedie prediction of the anchors'
-    rows, lifted by the boundary's seat operator in float64 and rounded to
-    float32, and from its own row of the run's initial noise.
+    rows, lifted by the boundary's seat operator (in float64, rounded to
+    float32, as lift does), and from its own row of the run's initial noise.
     Precondition: t lies in [0, 1).  No input is modified, and the targets
     share no memory with them; the caller seats the targets.
     """
     y_hat = predict_clean(anchors, t, velocity)
-    phi_ring = (boundary.seat @ y_hat.values.astype(np.float64)).astype(np.float32)
-    target = _micro_flow(phi_ring, boundary.ring, t_boundary, noise)
+    target = _micro_flow(boundary.seat(y_hat.values), boundary.ring, t_boundary, noise)
     return TransitionRecord(step_index, stage_from, boundary.ring, target,
                             boundary.anchor_distance)

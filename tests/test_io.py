@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 from jitflow.config import MAX_STATE_VALUES, config_from_dict, config_to_dict
 from jitflow.errors import BudgetError, ConfigError, DimensionError, EngineError, FormatError
 from jitflow.fields import GaussianFlowField, ReplayField, initial_noise, make_target_image
-from jitflow import fileio
+from jitflow import fileio, transition
+from jitflow import schedule as schedule_module
 from jitflow.fileio import (
     canonical_json,
     load_replay,
@@ -332,6 +334,30 @@ def test_config_shape_over_the_state_budget_is_a_budget_error():
         config_from_dict({**MINIMAL, "shape": [MAX_STATE_VALUES + 1, 1, 1]})
     cfg, _ = config_from_dict({**MINIMAL, "shape": [MAX_STATE_VALUES, 1, 1]})
     assert cfg.shape == (MAX_STATE_VALUES, 1, 1)
+
+
+@pytest.mark.parametrize("d, bytes_per_value", [(4, 70), (1, 130)])
+def test_cold_run_memory_per_state_value_bounds_the_cap(d, bytes_per_value):
+    # a jit4x run that builds its field, its dither key and its sampling
+    # plan inside the trace peaks at a fixed number of bytes per state value
+    # (the peak grows linearly with the grid: the same figure at 256^2 and
+    # 1024^2), so at MAX_STATE_VALUES it stays under 294 MB with d = 4 and
+    # 546 MB with d = 1
+    side = 256
+    shape = (side, side, d)
+    run(preset_schedule("jit4x"), GaussianFlowField(make_target_image("gaussian-bump", (8, 8, d)),
+                                                   0.5), (8, 8, d), 0)  # imports, outside
+    transition.sampling_plan.cache_clear()
+    schedule_module.dither_key.cache_clear()
+    tracemalloc.start()
+    try:
+        field = GaussianFlowField(make_target_image("gaussian-bump", shape), 0.5)
+        run(preset_schedule("jit4x"), field, shape, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bytes_per_value * side * side * d
+    assert bytes_per_value * MAX_STATE_VALUES <= {4: 294, 1: 546}[d] * 10**6
 
 
 @pytest.mark.parametrize(
