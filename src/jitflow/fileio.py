@@ -325,6 +325,8 @@ def _manifest_set(entry, pos: int) -> tuple[np.ndarray, list[float]]:
             pass
     if indices is None or (indices.size and indices.min() < 0):
         raise FormatError(f"replay set {pos}: indices must be a list of token indices")
+    if np.any(np.diff(indices) <= 0):
+        raise FormatError(f"replay set {pos}: indices must be strictly increasing")
     if not isinstance(times, list) or not times:
         raise FormatError(f"replay set {pos}: t must be a non-empty list of times")
     for j, t in enumerate(times):

@@ -93,11 +93,6 @@ def owner_map(active: IndexSet, h: int, w: int) -> np.ndarray:
     return nearest_anchor(active, h, w)[0]
 
 
-def anchor_distance(active: IndexSet, h: int, w: int) -> np.ndarray:
-    """Euclidean distance from each token to its nearest anchor (see nearest_anchor)."""
-    return nearest_anchor(active, h, w)[1]
-
-
 def nearest_fill(block: ActiveBlock, active: IndexSet, shape: tuple[int, int, int]) -> TokenGrid:
     """Assign every token the value of its nearest anchor (see owner_map)."""
     h, w, d = shape
@@ -108,14 +103,10 @@ def gaussian_blur(grid: TokenGrid, spec: BlurSpec) -> TokenGrid:
     """Per-channel separable Gaussian blur with replicate padding."""
     from scipy.ndimage import gaussian_filter
 
-    h, w, d = grid.shape
     r = spec.kernel_size // 2
-    # Channel-first, so each filtered line is contiguous: about twice as fast
-    # as filtering the (h, w, d) layout, and bitwise equal, since the same two
-    # 1-D passes (rows, then columns) see the same lines in either layout.
-    x = np.ascontiguousarray(grid.data.T, dtype=np.float64).reshape(d, h, w)
-    gaussian_filter(x, (0.0, spec.sigma, spec.sigma), mode="nearest", radius=(0, r, r), output=x)
-    return grid.with_data(x.reshape(d, h * w).T.astype(np.float32, order="C"))
+    x = grid.spatial().astype(np.float64)
+    gaussian_filter(x, (spec.sigma, spec.sigma, 0.0), mode="nearest", radius=(r, r, 0), output=x)
+    return grid.with_data(x.astype(np.float32))
 
 
 def lift(block: ActiveBlock, active: IndexSet, shape: tuple[int, int, int]) -> TokenGrid:

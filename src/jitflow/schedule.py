@@ -10,9 +10,11 @@ The quantiles come from scipy.special.betaincinv, imported on first use so
 that uniform schedules never load scipy; tests check them against an
 independent adaptive-quadrature oracle.
 
-The initial selector draws nothing: it ranks tokens boundary first, then by
-an ordered-dither key, so a run's first anchor set is a function of the
-grid size and the budget alone.
+Every set a run's token plan holds is cut from one order, dither_first: the
+tokens of lowest score, ties going to the lower ordered-dither key.  The
+initial selector scores the boundary tokens below the interior ones, so a
+run's first anchor set draws nothing and is a function of the grid size
+and the budget alone.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, ParameterError, ScheduleError
-from .grid import IndexSet, full_set
+from .grid import IndexSet
 
 # ---------------------------------------------------------------------------
 # warped timesteps
@@ -188,34 +190,40 @@ def dither_key(h: int, w: int) -> np.ndarray:
     return key
 
 
+def dither_first(score: np.ndarray, count: int, h: int, w: int) -> IndexSet:
+    """The count tokens of lowest score, ties going to the lower dither_key.
+
+    score holds one value per token of an h x w grid, row-major.  One
+    partition finds the count-th lowest score; every token below it is
+    chosen, and the key orders only the tokens tied with it, read only
+    when that tie class is cut.  O(h * w), and draws nothing.
+    Precondition: 1 <= count <= h * w.
+    """
+    cut = np.partition(score, count - 1)[count - 1]
+    chosen = score < cut
+    tied = np.flatnonzero(score == cut)
+    need = count - np.count_nonzero(chosen)  # >= 1: the cut itself is chosen
+    if need < len(tied):
+        tied = tied[np.argpartition(dither_key(h, w)[tied], need - 1)[:need]]
+    chosen[tied] = True
+    return IndexSet(h * w, np.flatnonzero(chosen))
+
+
 def initial_selector(h_tok: int, w_tok: int, budget: int) -> IndexSet:
     """Coarsest-stage anchor set: the first `budget` tokens in selector order.
 
     The order takes the boundary tokens first, then the interior ones, each
-    group by ascending dither_key.  Every even-even token has a lower key
-    than every other token, so an exact budget of len(base_selector_indices)
-    returns the base set; a smaller budget keeps a subset of it and a larger
-    one a superset; a budget of every token returns the full set without
-    reading a key.  The set depends only on (h_tok, w_tok, budget): it
-    draws nothing.
+    group by ascending dither_key (dither_first, scoring the interior 1).
+    Every even-even token has a lower key than every other token, so an
+    exact budget of len(base_selector_indices) returns the base set; a
+    smaller budget keeps a subset of it and a larger one a superset; a
+    budget that ends at a group's end (every boundary token, or every
+    token) reads no key.  The set depends only on (h_tok, w_tok, budget):
+    it draws nothing.
     """
     n = h_tok * w_tok
     if not 1 <= budget <= n:
         raise BudgetError(f"budget {budget} outside [1, {n}]")
-    if budget == n:
-        return full_set(n)
-    key = dither_key(h_tok, w_tok)
-    rows, cols = np.divmod(np.arange(n, dtype=np.int64), w_tok)
-    interior = (rows > 0) & (rows < h_tok - 1) & (cols > 0) & (cols < w_tok - 1)
-
-    def lowest(tokens: np.ndarray, count: int) -> np.ndarray:
-        """The count tokens of lowest key; keys are distinct, so a partition suffices."""
-        if count >= len(tokens):
-            return tokens
-        return tokens[np.argpartition(key[tokens], count - 1)[:count]]
-
-    edge = np.flatnonzero(~interior)
-    chosen = lowest(edge, budget)
-    if budget > len(edge):
-        chosen = np.concatenate([edge, lowest(np.flatnonzero(interior), budget - len(edge))])
-    return IndexSet(n, np.sort(chosen))
+    interior = np.zeros((h_tok, w_tok), dtype=bool)
+    interior[1:-1, 1:-1] = True
+    return dither_first(interior.ravel(), budget, h_tok, w_tok)

@@ -19,7 +19,8 @@ The tokens woken at a boundary (the ring) are the inactive tokens farthest
 from their nearest anchor.  Ties in distance are common on a lattice-like
 anchor set; they go in the ordered-dither order of Bayer (1973), so that a
 ring cut from a tie class spreads evenly over the grid instead of filling
-it from the top rows.  The ring depends on the active set alone, and the
+it from the top rows.  The ring and the first set are cut from that one
+order, schedule.dither_first: lowest score first, ties by dither key.  The ring depends on the active set alone, and the
 first set on the grid size and its budget alone, so every set, ring and
 merge order of a run is fixed by (h, w, stage token counts): a
 SamplingPlan, built once per such key and shared by every seed.  The plan
@@ -43,10 +44,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .grid import ActiveBlock, IndexSet, TokenGrid, complement
-from .importance import ImportanceMap, top_tokens
+from .grid import ActiveBlock, IndexSet, TokenGrid
+from .importance import ImportanceMap
 from .interp import RingLift, lift, lift_operator, nearest_anchor
-from .schedule import dither_key, initial_selector
+from .schedule import dither_first, initial_selector
 
 
 def predict_clean(y: ActiveBlock, t: float, v: ActiveBlock) -> ActiveBlock:
@@ -120,22 +121,22 @@ def plan_boundary(active: IndexSet, new_count: int, h: int, w: int) -> PlanBound
     """The boundary that wakes new_count tokens next to the anchor set active.
 
     The inactive tokens farthest from their nearest anchor win, ties going
-    to the lower dither_key.  Precondition: 1 <= new_count <= the number of
-    inactive tokens of the h x w grid.
+    to the lower dither_key: dither_first of the negated distance, under
+    which the anchors, at distance 0, rank last.  Precondition:
+    1 <= new_count <= the number of inactive tokens of the h x w grid.
     """
     n = h * w
     owner, dist = nearest_anchor(active, h, w)  # one transform for both
-    dist = ImportanceMap(h, w, dist)
-    ring = top_tokens(dist, complement(active), new_count, dither_key(h, w))
+    ring = dither_first(-dist, new_count, h, w)
     joined = np.concatenate([active.indices, ring.indices])
     slot = np.zeros(n, dtype=np.int32)  # position in joined, +1; 0 off the merged set
     slot[joined] = np.arange(1, len(joined) + 1, dtype=np.int32)
     merged = IndexSet(n, np.flatnonzero(slot))
     order = slot[merged.indices] - 1
     seat = lift_operator(owner, len(active), ring, h, w)
-    for arr in (ring.indices, merged.indices, order, dist.scores, seat.taps, seat.owners):
+    for arr in (ring.indices, merged.indices, order, dist, seat.taps, seat.owners):
         arr.setflags(write=False)
-    return PlanBoundary(ring, merged, order, dist, seat)
+    return PlanBoundary(ring, merged, order, ImportanceMap(h, w, dist), seat)
 
 
 @functools.lru_cache(maxsize=2)

@@ -1,12 +1,13 @@
-"""Importance map against window-enumeration oracle; top-token selection."""
+"""Importance map against window-enumeration oracle; dither-first ranking."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jitflow.grid import IndexSet, TokenGrid, full_set, index_set
-from jitflow.importance import WINDOW, ImportanceMap, importance_map, top_tokens
+from jitflow.grid import TokenGrid
+from jitflow.importance import WINDOW, importance_map
 from jitflow.rng import UniformStream
+from jitflow.schedule import dither_first, dither_key
 
 from oracles import reference_importance, windowed_variance_scores
 
@@ -78,48 +79,45 @@ def test_scale_covariance():
         nz = base > 1e-12
         assert np.max(np.abs(scaled[nz] / base[nz] - s * s)) < 1e-4
         assert np.array_equal(np.argsort(-scaled, kind="stable"), np.argsort(-base, kind="stable"))
-        top = top_tokens(ImportanceMap(8, 8, base), full_set(64), 10)
-        top_s = top_tokens(ImportanceMap(8, 8, scaled), full_set(64), 10)
+        top = dither_first(-base, 10, 8, 8)
+        top_s = dither_first(-scaled, 10, 8, 8)
         assert np.array_equal(top.indices, top_s.indices)
 
 
-def test_top_tokens_examples():
-    imap = ImportanceMap(2, 2, np.array([3.0, 1.0, 2.0, 9.0]))
-    picked = top_tokens(imap, full_set(4), 2)
-    assert np.array_equal(picked.indices, [0, 3])
+def test_dither_first_examples():
+    scores = np.array([3.0, 1.0, 2.0, 9.0])
+    assert dither_first(scores, 2, 2, 2).indices.tolist() == [1, 2]
+    assert dither_first(-scores, 2, 2, 2).indices.tolist() == [0, 3]
+    # a 2 x 2 grid's dither keys are [0, 2, 3, 1]: a tie goes to tokens 0, 3
+    assert dither_first(np.ones(4), 2, 2, 2).indices.tolist() == [0, 3]
+    assert dither_first(np.ones(4), 4, 2, 2).indices.tolist() == [0, 1, 2, 3]
+    # a cut tie class goes by key, not by index: token 3 before token 1
+    assert dither_first(np.array([0, 1, 1, 1]), 2, 2, 2).indices.tolist() == [0, 3]
 
-    flat = ImportanceMap(2, 2, np.ones(4))
-    assert np.array_equal(top_tokens(flat, index_set(4, [1, 2, 3]), 2).indices, [1, 2])
 
-    cands = index_set(4, [0, 2])
-    assert np.array_equal(top_tokens(imap, cands, 2).indices, cands.indices)
-
-
-def test_top_tokens_subset_and_deterministic():
-    stream = UniformStream(17)
-    scores = stream.uniform(64)
-    imap = ImportanceMap(8, 8, scores)
-    cands = index_set(64, stream.choose(np.arange(64, dtype=np.int64), 30))
-    a = top_tokens(imap, cands, 12)
-    b = top_tokens(imap, cands, 12)
-    assert np.array_equal(a.indices, b.indices)
-    assert len(a) == 12
-    assert np.all(np.isin(a.indices, cands.indices))
-    # brute-force sort oracle: stable sort by (-score, index)
-    order = sorted(cands.indices.tolist(), key=lambda i: (-scores[i], i))
-    assert sorted(order[:12]) == a.indices.tolist()
+def test_dither_first_reads_no_key_on_distinct_scores():
+    # a cut that splits no tie class is the plain sort order, and no key is built
+    scores = UniformStream(17).uniform(63 * 65)
+    for count in (1, 12, 2000, 63 * 65):
+        dither_key.cache_clear()
+        got = dither_first(scores, count, 63, 65)
+        assert dither_key.cache_info().misses == 0
+        assert got.indices.tolist() == sorted(np.argsort(scores)[:count].tolist())
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 120), st.data())
-def test_top_tokens_equals_sort_oracle_under_heavy_ties(n, data):
-    levels = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    scores = np.array([0.0, 0.5, 2.0])[levels]  # three levels: ties everywhere
-    member = data.draw(st.one_of(
-        st.just([True] * n), st.lists(st.booleans(), min_size=n, max_size=n)))
-    cands = IndexSet(n, np.flatnonzero(member))
-    count = data.draw(st.one_of(
-        st.just(0), st.just(len(cands)), st.integers(0, len(cands))))
-    got = top_tokens(ImportanceMap(1, n, scores), cands, count)
-    order = sorted(cands.indices.tolist(), key=lambda i: (-scores[i], i))
-    assert got.indices.tolist() == sorted(order[:count])
+@given(st.integers(1, 12), st.integers(1, 12), st.data())
+def test_dither_first_equals_lexsort_oracle_under_heavy_ties(h, w, data):
+    n = h * w
+    if data.draw(st.booleans(), label="bool"):
+        score = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    else:
+        score = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+    count = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    dither_key.cache_clear()
+    got = dither_first(score, count, h, w)
+    # the key is read exactly when the cut splits a tie class
+    ranked = np.sort(score)
+    assert dither_key.cache_info().misses == (count < n and ranked[count - 1] == ranked[count])
+    want = np.sort(np.lexsort((dither_key(h, w), score))[:count])
+    assert got.n_total == n and np.array_equal(got.indices, want)

@@ -12,7 +12,6 @@ from jitflow import interp
 from jitflow.grid import ActiveBlock, TokenGrid, complement, full_set, gather, index_set
 from jitflow.interp import (
     BlurSpec,
-    anchor_distance,
     blur_params,
     gaussian_blur,
     lift,
@@ -225,7 +224,7 @@ def test_anchor_distance_equals_brute_force(data):
     else:
         idx = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 3)))
     active = index_set(n, sorted(idx))
-    got = anchor_distance(active, h, w)
+    got = nearest_anchor(active, h, w)[1]
     assert got.dtype == np.float64 and got.shape == (n,)
     # bitwise: each entry is the square root of the same integer
     assert np.array_equal(got, brute_anchor_distance(active.indices, h, w))
@@ -237,7 +236,6 @@ def test_anchor_distance_shares_the_owner_map_transform():
     active = index_set(40 * 24, range(0, 40 * 24, 7))
     owner, dist = nearest_anchor(active, 40, 24)
     assert np.array_equal(owner, owner_map(active, 40, 24))
-    assert np.array_equal(dist, anchor_distance(active, 40, 24))
     tokens = np.arange(40 * 24)
     anchor = active.indices[owner]
     want = np.hypot(tokens // 24 - anchor // 24, tokens % 24 - anchor % 24)

@@ -575,6 +575,10 @@ def test_staged_run_tape_lists_each_active_set_once(tmp_path):
         (lambda s: s[0].update(indices=[2**63, 5, 9]), "indices must be a list of token indices"),
         (lambda s: s[0].update(indices=[[1], 5, 9]), "indices must be a list of token indices"),
         (lambda s: s[0].update(indices="159"), "indices must be a list of token indices"),
+        pytest.param(lambda s: s[0].update(indices=[9, 5, 1]),
+                     "replay set 0: indices must be strictly increasing", id="indices-unsorted"),
+        pytest.param(lambda s: s[0].update(indices=[1, 5, 5]),
+                     "replay set 0: indices must be strictly increasing", id="indices-repeat"),
         pytest.param(lambda s: s.append(dict(s[0])), r"replay set 1 t\[0\] repeats set 0 t\[0\]",
                      id="repeated-entry"),
         pytest.param(lambda s: s[0].update(t=[0.5, 0.25, 0.5]),

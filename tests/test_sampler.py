@@ -321,8 +321,8 @@ def test_runs_read_one_cached_plan(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("run rebuilt part of its token plan")
 
-    names = {"lift", "nearest_fill", "gaussian_blur", "top_tokens", "anchor_distance",
-             "initial_selector", "nearest_anchor", "lift_operator", "importance_map"}
+    names = {"lift", "nearest_fill", "gaussian_blur", "dither_first", "initial_selector",
+             "nearest_anchor", "lift_operator", "importance_map"}
     for module in (importance, interp, schedule_module, transition, sampler):
         for name in names & set(vars(module)):
             monkeypatch.setattr(module, name, forbidden)

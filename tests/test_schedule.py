@@ -15,6 +15,7 @@ from jitflow.schedule import (
     StageSpec,
     base_selector_indices,
     beta_timesteps,
+    dither_key,
     initial_selector,
     preset_schedule,
 )
@@ -209,10 +210,14 @@ def test_initial_selector_budgets():
         initial_selector(8, 8, 65)
 
 
-@pytest.mark.parametrize("h, w", [(1, 1), (2, 2), (1, 9), (3, 5)])
+@pytest.mark.parametrize("h, w", [(1, 1), (2, 2), (1, 9), (3, 5), (2, 7), (6, 4)])
 def test_initial_selector_full_budget_is_every_token(h, w):
+    # a budget of every token cuts no tie class, so it reads no dither key,
+    # on strips with no interior (h <= 2) as on grids with one
+    dither_key.cache_clear()
     sel = initial_selector(h, w, h * w)
     assert np.array_equal(sel.indices, np.arange(h * w))
+    assert dither_key.cache_info().misses == 0
 
 
 def test_initial_selector_corners_at_exact_budget():

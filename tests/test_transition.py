@@ -9,10 +9,9 @@ from jitflow.errors import ParameterError
 from jitflow.fields import GaussianFlowField, initial_noise, make_target_image
 from jitflow.grid import ActiveBlock, TokenGrid, complement, gather, index_set
 from jitflow.sampler import run
-from jitflow.schedule import initial_selector, preset_schedule
+from jitflow.schedule import dither_key, initial_selector, preset_schedule
 from jitflow.transition import (
     apply_transition,
-    dither_key,
     dmf_target,
     hitting_flow,
     plan_boundary,
