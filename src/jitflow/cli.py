@@ -16,7 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .cost import PUBLISHED_SPEEDUPS, CostModel, calibrate_attention_share, schedule_cost
+from .cost import PUBLISHED_SPEEDUPS, calibrate_attention_share, schedule_cost
 from .errors import EngineError
 from .fields import reference_solve, rel_l2
 from .fileio import read_config, write_grid, write_metrics_csv, write_pgm, write_report
@@ -72,7 +72,7 @@ def _cmd_schedule(args) -> int:
 def _cmd_bench_cost(args) -> int:
     cfg = _load(args.config)
     sched = cfg.resolve_schedule()
-    model = cfg.resolve_cost_model() or CostModel()
+    model = cfg.resolve_cost_model()
     n_tokens = cfg.shape[0] * cfg.shape[1]
     # both reports before any output, so an overflowing model prints only its error
     reports = [
@@ -104,7 +104,7 @@ def _cmd_bench_cost(args) -> int:
 def _cmd_oracle_compare(args) -> int:
     cfg = _load(args.config)
     field = cfg.resolve_field()
-    ledger = schedule_cost(cfg.resolve_schedule(), cfg.resolve_cost_model() or CostModel(),
+    ledger = schedule_cost(cfg.resolve_schedule(), cfg.resolve_cost_model(),
                            cfg.shape[0] * cfg.shape[1], cfg.baseline_steps)
     # the oracle first: it refuses a bad --fine-steps before any field evaluation
     oracle = reference_solve(field, cfg.shape, cfg.seed, args.fine_steps)

@@ -81,8 +81,8 @@ class RunConfig:
         mu = make_target_image(self.field_kind, self.shape, self.field_params)
         return GaussianFlowField(mu, self.sigma1)
 
-    def resolve_cost_model(self) -> CostModel | None:
-        return CostModel(**self.cost) if self.cost is not None else None
+    def resolve_cost_model(self) -> CostModel:
+        return CostModel(**(self.cost or {}))
 
     def run(self, field: VelocityField | None = None) -> RunReport:
         """The configured run; `field` replaces the configured field if given."""
@@ -200,7 +200,7 @@ def config_from_dict(doc: dict) -> tuple[RunConfig, list[str]]:
         cost = {k: _as(float, v, f"cost.{k}") for k, v in cost.items() if k in _COST_KEYS}
 
     params = dict(_object(sections["field"].get("params", {}), "field.params"))
-    for k, v in params.items():  # kept as written, so saved configs do not change
+    for k, v in params.items():
         _as(float, v, f"field.params.{k}")
 
     cfg = RunConfig(
@@ -212,22 +212,3 @@ def config_from_dict(doc: dict) -> tuple[RunConfig, list[str]]:
         **values,
     )
     return cfg, warnings
-
-
-def config_to_dict(cfg: RunConfig) -> dict:
-    """Canonical full-form document; stable under parse -> emit."""
-    doc: dict = {
-        "shape": list(cfg.shape),
-        "field": {"params": dict(cfg.field_params)},
-    }
-    if cfg.preset is not None:
-        doc["preset"] = cfg.preset
-    else:
-        doc["schedule"] = {"stages": [[s, sp] for s, sp in cfg.stages]}
-    if cfg.cost is not None:
-        doc["cost"] = dict(cfg.cost)
-    for section, key, name, *_ in _SCALARS:
-        target = doc if section is None else doc.get(section)
-        if target is not None:
-            target[key] = getattr(cfg, name)
-    return doc

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, config_from_dict, config_to_dict
+from .config import RunConfig, config_from_dict
 from .errors import ConfigError, DimensionError, EngineError, FormatError
 from .fields import ReplayField
 from .grid import TokenGrid
@@ -166,10 +166,6 @@ def _encode(value, pad: str) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def write_config(path, cfg: RunConfig) -> None:
-    _atomic_write(path, canonical_json(config_to_dict(cfg)).encode("utf-8"))
-
-
 def _read_json(path, error: type[EngineError], what: str):
     """The JSON document at path; a file that cannot be read or parsed raises error."""
     try:
@@ -298,9 +294,13 @@ def load_replay(dirpath, strict: bool = True) -> ReplayField:
         rows += [len(indices)] * len(times)
     if rows:
         try:
-            values = read_grid(dirpath / "values.jitg").data
+            grid = read_grid(dirpath / "values.jitg")
         except (OSError, EngineError) as exc:
             raise FormatError(f"replay tape: cannot read 'values.jitg': {exc}") from exc
+        if grid.h_tok != 1:
+            raise FormatError("replay tape: values.jitg must be a 1 x R x d grid, "
+                              f"got {grid.h_tok} x {grid.w_tok} x {grid.d}")
+        values = grid.data
         stops = np.cumsum(rows)
         if len(values) != stops[-1]:
             raise FormatError(f"replay tape: values.jitg holds {len(values)} tokens, "

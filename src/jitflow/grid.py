@@ -61,10 +61,7 @@ class TokenGrid:
 class IndexSet:
     """Sorted unique token indices over a grid of n_total tokens.
 
-    Realizes the active set Omega_k.  An empty set is representable only so
-    that complement(full set) has a value; every state-touching operation
-    requires at least one index, a precondition its engine callers meet,
-    and empty sets are consumed solely by token selection.
+    Realizes the active set Omega_k.  A set holds at least one index.
     """
 
     n_total: int
@@ -74,13 +71,12 @@ class IndexSet:
         if self.n_total < 1:
             raise DimensionError(f"n_total must be >= 1, got {self.n_total}")
         idx = np.asarray(self.indices, dtype=np.int64).ravel()
-        if idx.size:
-            if idx[0] < 0 or idx[-1] >= self.n_total:
-                raise DimensionError(
-                    f"indices out of range [0, {self.n_total})"
-                )
-            if np.any(np.diff(idx) <= 0):
-                raise DimensionError("indices must be strictly increasing")
+        if idx.size == 0:
+            raise DimensionError("index set must contain at least one index")
+        if idx[0] < 0 or idx[-1] >= self.n_total:
+            raise DimensionError(f"indices out of range [0, {self.n_total})")
+        if np.any(np.diff(idx) <= 0):
+            raise DimensionError("indices must be strictly increasing")
         object.__setattr__(self, "indices", idx)
 
     def __len__(self) -> int:
@@ -104,10 +100,7 @@ def full_set(n_total: int) -> IndexSet:
 
 def index_set(n_total: int, indices) -> IndexSet:
     """Build an IndexSet from an unsorted, possibly duplicated collection."""
-    idx = np.unique(np.asarray(indices, dtype=np.int64))
-    if idx.size == 0:
-        raise DimensionError("index set must contain at least one index")
-    return IndexSet(n_total, idx)
+    return IndexSet(n_total, np.unique(np.asarray(indices, dtype=np.int64)))
 
 
 @dataclass(frozen=True)
@@ -178,9 +171,3 @@ def ring(prev: IndexSet, cur: IndexSet) -> IndexSet:
     if diff.size == 0:
         raise NestingError("cur equals prev; ring would be empty")
     return IndexSet(prev.n_total, diff)
-
-
-def complement(active: IndexSet) -> IndexSet:
-    """Sorted indices outside the set.  May be empty (full-set input)."""
-    return IndexSet(active.n_total, np.flatnonzero(~active.mask()))
-

@@ -88,15 +88,10 @@ def nearest_anchor(active: IndexSet, h: int, w: int) -> tuple[np.ndarray, np.nda
     return rank[flat].ravel(), dist.T.ravel()
 
 
-def owner_map(active: IndexSet, h: int, w: int) -> np.ndarray:
-    """Index into active.indices of each token's nearest anchor (see nearest_anchor)."""
-    return nearest_anchor(active, h, w)[0]
-
-
 def nearest_fill(block: ActiveBlock, active: IndexSet, shape: tuple[int, int, int]) -> TokenGrid:
-    """Assign every token the value of its nearest anchor (see owner_map)."""
+    """Assign every token the value of its nearest anchor (see nearest_anchor)."""
     h, w, d = shape
-    return TokenGrid(h, w, d, np.take(block.values, owner_map(active, h, w), axis=0))
+    return TokenGrid(h, w, d, np.take(block.values, nearest_anchor(active, h, w)[0], axis=0))
 
 
 def gaussian_blur(grid: TokenGrid, spec: BlurSpec) -> TokenGrid:

@@ -54,18 +54,17 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def derive_seed(seed: int, label: str, index: int = 0) -> int:
-    """Derive an independent sub-stream seed for (seed, label, index).
+def derive_seed(seed: int, label: str) -> int:
+    """Derive an independent sub-stream seed for (seed, label).
 
-    Folds the label bytes and the index into the master seed one mix at a
-    time; used to give the initial state and the selector their own
-    non-overlapping streams.  A run draws from no other stream: stage
-    transitions reuse each new token's initial noise.
+    Folds the label bytes into the master seed one mix at a time; used to
+    give the initial state its own stream.  A run draws from no other
+    stream: stage transitions reuse each new token's initial noise.
     """
     h = mix64(seed)
     for byte in label.encode("utf-8"):
         h = mix64(h ^ byte)
-    return mix64(h ^ ((index * _GAMMA) & _MASK64))
+    return mix64(h)
 
 
 class UniformStream:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jitflow import interp
-from jitflow.grid import ActiveBlock, TokenGrid, complement, full_set, gather, index_set
+from jitflow.grid import ActiveBlock, TokenGrid, full_set, gather, index_set
 from jitflow.interp import (
     BlurSpec,
     blur_params,
@@ -18,7 +18,6 @@ from jitflow.interp import (
     lift_operator,
     nearest_anchor,
     nearest_fill,
-    owner_map,
 )
 from jitflow.rng import UniformStream
 from jitflow.schedule import base_selector_indices, initial_selector
@@ -87,7 +86,7 @@ def test_gather_and_nearest_fill_equal_fancy_index(h, w, d, seed):
     assert block.values.dtype == want.dtype and np.array_equal(block.values, want)
     assert not np.shares_memory(block.values, g.data)
     filled = nearest_fill(block, active, g.shape).data
-    want = block.values[owner_map(active, h, w)]
+    want = block.values[nearest_anchor(active, h, w)[0]]
     assert filled.dtype == want.dtype and np.array_equal(filled, want)
 
 
@@ -113,7 +112,7 @@ def test_owner_map_equals_brute_force(data):
         gap = data.draw(st.integers(0, n - 1))
         idx = [i for i in range(n) if i != gap]
     active = index_set(n, sorted(idx))
-    got = owner_map(active, h, w)
+    got = nearest_anchor(active, h, w)[0]
     assert got.dtype == np.int64 and got.shape == (n,)
     assert np.array_equal(got, brute_owner_map(active.indices, h, w))
 
@@ -124,7 +123,7 @@ def test_owner_map_lattices_at_sampler_sizes():
         for budget in (int(0.35 * h * w), int(0.62 * h * w)):
             active = initial_selector(h, w, budget)
             assert np.array_equal(
-                owner_map(active, h, w), brute_owner_map(active.indices, h, w)
+                nearest_anchor(active, h, w)[0], brute_owner_map(active.indices, h, w)
             )
 
 
@@ -138,7 +137,7 @@ def test_owner_map_more_ties_than_tree_candidates():
         idx = [(center[0] + dr) * w + (center[1] + dc) for dr, dc in circle]
         idx += [(h - 1) * w + c for c in range(0, w, 4)]
         active = index_set(h * w, idx)
-        got = owner_map(active, h, w)
+        got = nearest_anchor(active, h, w)[0]
         assert np.array_equal(got, brute_owner_map(active.indices, h, w))
         assert got[center[0] * w + center[1]] == 0  # the lowest row-major anchor
 
@@ -148,18 +147,18 @@ def test_owner_map_comb_matches_brute_force():
     # border with ties down its whole length
     h = w = 128
     active = index_set(h * w, range(0, w, 2))
-    assert np.array_equal(owner_map(active, h, w), brute_owner_map(active.indices, h, w))
+    assert np.array_equal(nearest_anchor(active, h, w)[0], brute_owner_map(active.indices, h, w))
 
 
 def test_owner_map_comb_memory():
     # the comb puts nearly every token on a tie far from its anchors; one build
     # must still take memory linear in N
     h = w = 512
-    owner_map(index_set(4, [0]), 2, 2)  # import scipy.ndimage before tracing
+    nearest_anchor(index_set(4, [0]), 2, 2)  # import scipy.ndimage before tracing
     active = index_set(h * w, range(0, w, 2))
     tracemalloc.start()
     try:
-        owner_map(active, h, w)
+        nearest_anchor(active, h, w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -172,7 +171,7 @@ def test_owner_map_long_strips(h, w, idx):
     # one or two anchors on a 4096-token line; [10, 4000] and [0, 4094] tie
     # at their midpoints 2005 and 2047
     active = index_set(4096, idx)
-    got = owner_map(active, h, w)
+    got = nearest_anchor(active, h, w)[0]
     assert np.array_equal(got, brute_owner_map(active.indices, h, w))
     if len(idx) == 2:
         assert got[(idx[0] + idx[1]) // 2] == 0
@@ -187,7 +186,9 @@ def test_owner_map_lattice_ties(h, w, stride):
                for c in range((r // stride % 2) * (stride // 2), w, stride)]
     for idx in (square, shifted):
         active = index_set(h * w, idx)
-        assert np.array_equal(owner_map(active, h, w), brute_owner_map(active.indices, h, w))
+        assert np.array_equal(
+            nearest_anchor(active, h, w)[0], brute_owner_map(active.indices, h, w)
+        )
 
 
 @settings(max_examples=60, deadline=None)
@@ -196,14 +197,14 @@ def test_owner_map_very_sparse_sets(h, w, data):
     n = h * w
     idx = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 4)))
     active = index_set(n, sorted(idx))
-    assert np.array_equal(owner_map(active, h, w), brute_owner_map(active.indices, h, w))
+    assert np.array_equal(nearest_anchor(active, h, w)[0], brute_owner_map(active.indices, h, w))
 
 
 def test_owner_map_cache_key_includes_grid_shape():
     # the same index bytes on a 3x5 and on a 5x3 grid are different anchor sets
     idx = [1, 7, 13]
-    wide = owner_map(index_set(15, idx), 3, 5)
-    tall = owner_map(index_set(15, idx), 5, 3)
+    wide = nearest_anchor(index_set(15, idx), 3, 5)[0]
+    tall = nearest_anchor(index_set(15, idx), 5, 3)[0]
     assert np.array_equal(wide, brute_owner_map(np.array(idx), 3, 5))
     assert np.array_equal(tall, brute_owner_map(np.array(idx), 5, 3))
     assert not np.array_equal(wide, tall)
@@ -235,7 +236,7 @@ def test_anchor_distance_shares_the_owner_map_transform():
     # one transform returns both; the distance is the one to the owner the map names
     active = index_set(40 * 24, range(0, 40 * 24, 7))
     owner, dist = nearest_anchor(active, 40, 24)
-    assert np.array_equal(owner, owner_map(active, 40, 24))
+    assert np.array_equal(owner, brute_owner_map(active.indices, 40, 24))
     tokens = np.arange(40 * 24)
     anchor = active.indices[owner]
     want = np.hypot(tokens // 24 - anchor // 24, tokens % 24 - anchor % 24)
@@ -265,14 +266,14 @@ def test_lift_operator_equals_lift_at_the_ring(data):
     else:
         idx = data.draw(st.sets(st.integers(0, n - 1), min_size=m, max_size=m))
         active = index_set(n, sorted(idx))
-    pool = complement(active).indices
+    pool = np.flatnonzero(~active.mask())
     picked = data.draw(st.sets(st.sampled_from(pool.tolist()), min_size=1), label="ring")
     ring = index_set(n, sorted(picked))
     d = data.draw(st.integers(1, 4), label="d")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     values = rng.standard_normal((m, d)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(1, d))
     block = ActiveBlock(m, d, values.astype(np.float32))
-    op = lift_operator(owner_map(active, h, w), m, ring, h, w)
+    op = lift_operator(nearest_anchor(active, h, w)[0], m, ring, h, w)
     k = 2 * len(op.taps) - 1
     assert op.owners.shape == (k, k, len(ring)) and op.owners.dtype == np.int32
     assert op.taps[0] + 2.0 * op.taps[1:].sum() == pytest.approx(1.0, rel=0.0, abs=1e-12)
@@ -287,10 +288,10 @@ def test_lift_operator_is_the_same_in_chunks(monkeypatch):
     # gives the same operator and the same values
     h, w = 23, 17
     active = initial_selector(h, w, 20)
-    ring = complement(active)
+    ring = index_set(h * w, np.flatnonzero(~active.mask()))
     assert blur_params(20, h * w).kernel_size > 3
     values = UniformStream(5).normal(20 * 3).astype(np.float32).reshape(20, 3)
-    owner = owner_map(active, h, w)
+    owner = nearest_anchor(active, h, w)[0]
     whole = lift_operator(owner, 20, ring, h, w)
     want = whole(values)
     monkeypatch.setattr(interp, "OPERATOR_CHUNK", 60)

@@ -142,13 +142,13 @@ def test_choose_selector_size_equals_scalar_oracle():
     assert vec.counter == ref.counter == 11800
 
 
-def test_derive_seed_separates_labels_and_indices():
+def test_derive_seed_separates_labels():
     seeds = {
         derive_seed(42, "init"),
         derive_seed(42, "selector"),
-        derive_seed(42, "transition", 0),
-        derive_seed(42, "transition", 1),
+        derive_seed(42, "transition"),
+        derive_seed(42, ""),
         derive_seed(43, "init"),
     }
     assert len(seeds) == 5
-    assert derive_seed(42, "transition", 1) == derive_seed(42, "transition", 1)
+    assert derive_seed(42, "transition") == derive_seed(42, "transition")

@@ -16,7 +16,7 @@ from jitflow.fields import (
 )
 from jitflow import importance, interp, sampler, transition
 from jitflow import schedule as schedule_module
-from jitflow.grid import ActiveBlock, complement, gather, index_set
+from jitflow.grid import ActiveBlock, gather, index_set
 from jitflow.rng import UniformStream
 from jitflow.sampler import RunOptions, run
 from jitflow.schedule import StageSchedule, StageSpec, initial_selector, preset_schedule
@@ -253,7 +253,7 @@ def test_run_snapshots_step_anchor_rows_and_keep_inactive_rows_seated():
         assert snap_step == k + 1
         assert np.array_equal(snap.data, state)
         if len(active) < 64:
-            idle = complement(active).indices
+            idle = np.flatnonzero(~active.mask())
             assert np.array_equal(snap.data[idle], noise[idle])
     assert np.array_equal(report.snapshots[-1][1].data, report.endpoint.data)
 

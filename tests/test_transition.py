@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from jitflow.errors import ParameterError
 from jitflow.fields import GaussianFlowField, initial_noise, make_target_image
-from jitflow.grid import ActiveBlock, TokenGrid, complement, gather, index_set
+from jitflow.grid import ActiveBlock, TokenGrid, gather, index_set
 from jitflow.sampler import run
 from jitflow.schedule import dither_key, initial_selector, preset_schedule
 from jitflow.transition import (
@@ -240,7 +240,7 @@ def test_apply_transition_reads_noise_only_at_ring_rows():
     record = apply_transition(boundary, anchors, v_block, state, 0.3, 0.35, 7, 0)
     other = state.data * np.float32(-3.0) + np.float32(7.0)
     other[record.activated.indices] = state.data[record.activated.indices]
-    idle = np.setdiff1d(complement(active).indices, record.activated.indices)
+    idle = np.setdiff1d(np.flatnonzero(~active.mask()), record.activated.indices)
     for rows in (active.indices, idle):
         assert rows.size and not np.any(other[rows] == state.data[rows])
     again = apply_transition(boundary, anchors, v_block, state.with_data(other),
